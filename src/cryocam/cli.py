@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DEFAULTS, RunConfig, build_config, parse_config
+from .config import RunConfig, parse_config
 from .errors import ConfigError, CryocamError, DomainError, NumericError, UsageError
 from .fesquid import FeSquidDevice, branch_voltage, simulate_rcsj_iv
 from .ferroelectric import apply_voltage, apply_waveform
@@ -38,7 +38,14 @@ from .hdc import (
     synthetic_corpus,
     train,
 )
-from .tcam import SearchKey, invert_energy_targets, search_exact, search_hd, store_word
+from .tcam import (
+    SearchKey,
+    calibrated_bias,
+    exact_energy_averages,
+    search_exact,
+    search_hd,
+    store_word,
+)
 
 OUTPUT_DIR_ENV = "CRYOCAM_OUT"
 
@@ -93,9 +100,7 @@ def _load_config(args) -> RunConfig:
             raise ConfigError([f"--set expects key=value, got {item!r}"])
         key, raw = item.split("=", 1)
         overrides[key.strip()] = raw.strip()
-    if args.config:
-        return parse_config(args.config, overrides)
-    return build_config(overrides)
+    return parse_config(args.config, overrides)
 
 
 def _out_dir(args) -> Path:
@@ -120,6 +125,8 @@ def _saturated_device(cfg: RunConfig, state: str) -> FeSquidDevice:
 
 
 def cmd_device_iv(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
+    if args.points < 1:
+        raise UsageError(f"--points must be >= 1, got {args.points}")
     dev = _saturated_device(cfg, args.state)
     i_points = np.linspace(0.0, args.i_max_uA * 1e-6, args.points)
     label = f"ic_{args.state}"
@@ -160,11 +167,17 @@ def cmd_fe_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     ]
 
 
-def _read_lines(path) -> list[str]:
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _read_lines(path) -> list[str]:
+    text = _read_text(path)
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
@@ -197,27 +210,17 @@ def cmd_tcam_search(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_tcam_calibrate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
-    t_search = cfg["t_search_ns"] * 1e-9
-    i_rwl, r_fs = invert_energy_targets(
-        args.binary_aJ * 1e-18, args.ternary_aJ * 1e-18, t_search
+    ic_low, ic_high = window = cfg.critical_window()
+    bias = calibrated_bias(
+        cfg.bias(), window, args.binary_aJ * 1e-18, args.ternary_aJ * 1e-18
     )
-    ic_low, ic_high = cfg.critical_window()
-    if not ic_low < i_rwl < ic_high:
-        raise ConfigError(
-            [
-                f"calibrated I_RWL={i_rwl:.4g} A falls outside the exact-mode "
-                f"window ({ic_low:.4g}, {ic_high:.4g}) A"
-            ]
-        )
-    r_gate = cfg["ht_r_off_kohm"] * 1e3
-    r_par = r_fs * r_gate / (r_fs + r_gate)
-    e_match = i_rwl**2 * r_par * t_search
-    e_dontcare = i_rwl**2 * (r_gate / 2.0) * t_search
+    i_rwl, r_fs = bias.i_rwl_exact, bias.r_fs_exact
+    binary_avg, ternary_avg = exact_energy_averages(bias)
     payload = {
         "i_rwl_exact_uA": i_rwl * 1e6,
         "r_fs_exact_ohm": r_fs,
-        "binary_avg_aJ": e_match / 2.0 * 1e18,
-        "ternary_avg_aJ": (2 * e_match + 2 * e_dontcare) / 6.0 * 1e18,
+        "binary_avg_aJ": binary_avg * 1e18,
+        "ternary_avg_aJ": ternary_avg * 1e18,
         "window_ic_low_uA": ic_low * 1e6,
         "window_ic_high_uA": ic_high * 1e6,
     }
@@ -234,10 +237,7 @@ def _load_corpus_dir(root) -> dict:
         raise UsageError(f"corpus directory {root} does not exist")
     corpus = {}
     for class_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        texts = [
-            f.read_text(encoding="utf-8")
-            for f in sorted(class_dir.glob("*.txt"))
-        ]
+        texts = [_read_text(f) for f in sorted(class_dir.glob("*.txt"))]
         if texts:
             corpus[class_dir.name] = texts
     if not corpus:
@@ -272,13 +272,13 @@ def cmd_hdc_train(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 def cmd_hdc_infer(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     model = load_model(args.model)
-    text = Path(args.text).read_text(encoding="utf-8")
+    text = _read_text(args.text)
     query = encode_text(text, model.item_memory(), model.n_gram)
     if args.engine == "exact":
         label, distances = infer_exact(model, query)
         energies = None
     else:
-        plan = BlockPlan(block_size=cfg["hdc_block_size"])
+        plan = BlockPlan(block_size=cfg["hdc_block_size"], bias=cfg.bias())
         label, distances, energies = infer_tcam(model, query, plan)
     payload = {
         "label": label,
@@ -297,8 +297,7 @@ def cmd_hdc_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
             d_bits=d,
             block_sizes=args.block,
             match_fraction=args.match,
-            i_rwl_per_bit=cfg["i_rwl_hd_uA"] * 1e-6,
-            t_search=cfg["t_search_ns"] * 1e-9,
+            bias=cfg.bias(),
         )
         accuracy = None
         if args.accuracy:

@@ -10,18 +10,14 @@ every violation, not just the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
-from .device_physics import (
-    SuperconductorParams,
-    ab_critical_current,
-    bcs_gap,
-    tc_from_polarization,
-)
+from .device_physics import SuperconductorParams
 from .errors import ConfigError
-from .fesquid import RcsjParams
+from .fesquid import RcsjParams, critical_window
 from .ferroelectric import PreisachModel
 from .htron import HtronDevice
-from .tcam import BiasConfig, TcamArray
+from .tcam import BiasConfig, TcamArray, exact_bias_problem, hd_bias_problem
 
 # key -> (default in config units, description)
 DEFAULTS = {
@@ -39,15 +35,13 @@ DEFAULTS = {
     "fe_sigma_v_V": (0.15, "switching-threshold spread"),
     # hTron
     "ht_i_g_crit_uA": (20.0, "gate critical current"),
-    "ht_i_ch_crit_uA": (60.0, "channel critical current at zero gate drive"),
     "ht_r_off_kohm": (50.0, "resistive channel resistance"),
-    "ht_t_switch_ns": (0.3, "superconducting-to-resistive switching time"),
     # TCAM bias
     "i_rwl_exact_uA": (3.2, "per-cell RWL current, exact mode"),
     "i_rwl_hd_uA": (5.0, "per-cell RWL current, HD mode"),
     "i_rbl_on_uA": (40.0, "asserted RBL gate current"),
     "v_write_V": (2.0, "write voltage"),
-    "t_search_ns": (0.3, "search duration"),
+    "t_search_ns": (0.3, "search duration = hTron switching time"),
     "r_fs_exact_ohm": (900.0, "conducting FeSQUID resistance, exact-mode match"),
     # RCSJ solver
     "rcsj_beta_c": (0.1, "Stewart-McCumber damping parameter"),
@@ -71,6 +65,12 @@ _INT_KEYS = {
     "hdc_block_size",
     "seed",
 }
+
+
+def _si(value: float, exponent: int) -> float:
+    """``value`` times 10**exponent, rounded once from its decimal form,
+    so 5 uA becomes exactly 5e-6 (the library defaults)."""
+    return float(Decimal(repr(value)).scaleb(exponent))
 
 
 @dataclass(frozen=True)
@@ -99,23 +99,27 @@ class RunConfig:
         )
 
     def htron(self) -> HtronDevice:
+        """The array's hTron record; ``t_search_ns`` is its switching time."""
         v = self.values
         return HtronDevice(
-            i_g_crit=v["ht_i_g_crit_uA"] * 1e-6,
-            i_ch_crit=v["ht_i_ch_crit_uA"] * 1e-6,
-            r_off=v["ht_r_off_kohm"] * 1e3,
-            t_switch=v["ht_t_switch_ns"] * 1e-9,
+            i_g_crit=_si(v["ht_i_g_crit_uA"], -6),
+            r_off=_si(v["ht_r_off_kohm"], 3),
+            t_switch=_si(v["t_search_ns"], -9),
         )
 
     def bias(self) -> BiasConfig:
+        """The row record every search, closed form and calibration reads."""
         v = self.values
         return BiasConfig(
-            i_rwl_exact=v["i_rwl_exact_uA"] * 1e-6,
-            i_rwl_hd=v["i_rwl_hd_uA"] * 1e-6,
-            i_rbl_on=v["i_rbl_on_uA"] * 1e-6,
+            i_rwl_exact=_si(v["i_rwl_exact_uA"], -6),
+            i_rwl_hd=_si(v["i_rwl_hd_uA"], -6),
+            i_rbl_on=_si(v["i_rbl_on_uA"], -6),
             v_write=v["v_write_V"],
-            t_search=v["t_search_ns"] * 1e-9,
+            t_search=_si(v["t_search_ns"], -9),
             r_fs_exact=v["r_fs_exact_ohm"],
+            r_gate=_si(v["ht_r_off_kohm"], 3),
+            r_match=v["r_low_state_ohm"],
+            r_mismatch=v["r_high_state_ohm"],
         )
 
     def rcsj(self) -> RcsjParams:
@@ -136,23 +140,12 @@ class RunConfig:
             sc=self.superconductor(),
             t_op=v["t_op_K"],
             bias=self.bias(),
-            htron_proto=self.htron(),
-            r_low_state=v["r_low_state_ohm"],
-            r_high_state=v["r_high_state_ohm"],
+            htron=self.htron(),
         )
 
     def critical_window(self) -> tuple[float, float]:
         """(I_C,low, I_C,high) in A at saturation remnants."""
-        sc = self.superconductor()
-        t_op = self.values["t_op_K"]
-        return (
-            ab_critical_current(
-                bcs_gap(t_op, tc_from_polarization(+1.0, sc)), t_op, sc.r_n
-            ),
-            ab_critical_current(
-                bcs_gap(t_op, tc_from_polarization(-1.0, sc)), t_op, sc.r_n
-            ),
-        )
+        return critical_window(self.superconductor(), self.values["t_op_K"])
 
 
 def _coerce(key: str, raw: str):
@@ -182,9 +175,7 @@ def validate_values(values: dict) -> list[str]:
         "fe_v_c_V",
         "fe_sigma_v_V",
         "ht_i_g_crit_uA",
-        "ht_i_ch_crit_uA",
         "ht_r_off_kohm",
-        "ht_t_switch_ns",
         "i_rwl_exact_uA",
         "i_rwl_hd_uA",
         "i_rbl_on_uA",
@@ -230,43 +221,35 @@ def validate_values(values: dict) -> list[str]:
         )
     if superconducting:
         cfg = RunConfig(values=dict(values))
-        ic_low, ic_high = cfg.critical_window()
-        i_exact = v["i_rwl_exact_uA"] * 1e-6
-        i_hd = v["i_rwl_hd_uA"] * 1e-6
-        if not ic_low < i_exact < ic_high:
-            problems.append(
-                f"exact mode requires I_C,low < I_RWL < I_C,high: "
-                f"I_RWL={i_exact:.4g} A vs ({ic_low:.4g}, {ic_high:.4g}) A"
-            )
-        if not i_hd > ic_high:
-            problems.append(
-                f"HD mode requires I_RWL > I_C,high: I_RWL={i_hd:.4g} A vs "
-                f"I_C,high={ic_high:.4g} A"
-            )
+        window, bias = cfg.critical_window(), cfg.bias()
+        for problem in (
+            exact_bias_problem(bias.i_rwl_exact, window),
+            hd_bias_problem(bias.i_rwl_hd, window),
+        ):
+            if problem:
+                problems.append(problem)
     return problems
+
+
+def _assign(values: dict, key: str, raw, where: str, problems: list):
+    """Set ``values[key]`` from ``raw`` or record why not in ``problems``."""
+    if key not in DEFAULTS:
+        problems.append(f"{where}unknown key {key!r}")
+        return
+    try:
+        values[key] = _coerce(key, str(raw))
+    except ValueError:
+        problems.append(f"{where}{key}: cannot parse {raw!r} as a number")
 
 
 def build_config(overrides: dict | None = None) -> RunConfig:
     """Defaults plus ``overrides`` (config-unit values), validated."""
-    values = {k: d for k, (d, _) in DEFAULTS.items()}
-    problems = []
-    for key, raw in (overrides or {}).items():
-        if key not in DEFAULTS:
-            problems.append(f"unknown key {key!r}")
-            continue
-        try:
-            values[key] = _coerce(key, str(raw))
-        except ValueError:
-            problems.append(f"{key}: cannot parse {raw!r} as a number")
-    if not problems:
-        problems = validate_values(values)
-    if problems:
-        raise ConfigError(problems)
-    return RunConfig(values=values)
+    return parse_config(None, overrides)
 
 
 def parse_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse and validate a config file; ``overrides`` win over the file.
+    """Parse and validate a config file (defaults only when ``path`` is
+    None); ``overrides`` win over the file.
 
     Raises ConfigError carrying every violation found: unknown keys,
     malformed lines and numbers (with line numbers), and all constraint
@@ -275,36 +258,28 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     values = {k: d for k, (d, _) in DEFAULTS.items()}
     problems = []
     seen = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                problems.append(f"line {lineno}: expected 'key = value'")
-                continue
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in DEFAULTS:
-                problems.append(f"line {lineno}: unknown key {key!r}")
-                continue
-            if key in seen:
-                problems.append(f"line {lineno}: duplicate key {key!r}")
-                continue
-            seen.add(key)
-            try:
-                values[key] = _coerce(key, raw)
-            except ValueError:
-                problems.append(
-                    f"line {lineno}: {key}: cannot parse {raw!r} as a number"
-                )
-    for key, raw in (overrides or {}).items():
-        if key not in DEFAULTS:
-            problems.append(f"override: unknown key {key!r}")
-            continue
+    lines = []
+    if path is not None:
         try:
-            values[key] = _coerce(key, str(raw))
-        except ValueError:
-            problems.append(f"override {key}: cannot parse {raw!r} as a number")
+            with open(path, encoding="utf-8") as f:
+                lines = f.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            problems.append(f"line {lineno}: expected 'key = value'")
+            continue
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in seen:
+            problems.append(f"line {lineno}: duplicate key {key!r}")
+            continue
+        seen.add(key)
+        _assign(values, key, raw, f"line {lineno}: ", problems)
+    for key, raw in (overrides or {}).items():
+        _assign(values, key, raw, "override: ", problems)
     if not problems:
         problems = validate_values(values)
     if problems:

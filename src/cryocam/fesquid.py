@@ -49,15 +49,25 @@ class FeSquidDevice:
             raise DomainError("state resistances must be > 0")
 
 
+def _critical_current_at(p: float, sc: SuperconductorParams, t_op: float) -> float:
+    t_c = tc_from_polarization(p, sc)
+    if t_op >= t_c:
+        raise DomainError(
+            f"device is normal: t_op={t_op} K >= T_C({p:+.3f})={t_c:.4g} K"
+        )
+    return ab_critical_current(bcs_gap(t_op, t_c), t_op, sc.r_n)
+
+
 def critical_current(dev: FeSquidDevice) -> float:
     """State-dependent critical current (A) at the operating temperature."""
-    p = remnant_fraction(dev.fe)
-    t_c = tc_from_polarization(p, dev.sc)
-    if dev.t_op >= t_c:
-        raise DomainError(
-            f"device is normal: t_op={dev.t_op} K >= T_C({p:+.3f})={t_c:.4g} K"
-        )
-    return ab_critical_current(bcs_gap(dev.t_op, t_c), dev.t_op, dev.sc.r_n)
+    return _critical_current_at(remnant_fraction(dev.fe), dev.sc, dev.t_op)
+
+
+def critical_window(sc: SuperconductorParams, t_op: float) -> tuple[float, float]:
+    """(I_C,low, I_C,high) in A: the critical currents of a fully written
+    device (remnant fraction +1 and -1) at ``t_op``.  The exact-mode bias
+    must sit inside this window, the HD-mode bias above it."""
+    return _critical_current_at(+1.0, sc, t_op), _critical_current_at(-1.0, sc, t_op)
 
 
 def state_resistance(dev: FeSquidDevice) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .tcam import (
-    DEFAULT_T_SEARCH,
+    BiasConfig,
     invert_ml_voltage_closed_form,
     ml_voltage_closed_form,
     search_energy,
@@ -141,7 +141,8 @@ def infer_exact(model: HdcModel, query: np.ndarray) -> tuple[str, dict]:
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """How a long vector is cut into TCAM row segments.
+    """How a long vector is cut into TCAM row segments, and the row record
+    each segment is searched with.
 
     Vectors whose dimension is not a multiple of ``block_size`` are
     zero-padded on both sides of the comparison, so the padding always
@@ -149,8 +150,7 @@ class BlockPlan:
     """
 
     block_size: int = 100
-    i_rwl_per_bit: float = 5e-6  # A
-    t_search: float = DEFAULT_T_SEARCH  # s
+    bias: BiasConfig = BiasConfig()
 
     def __post_init__(self):
         if self.block_size < 1:
@@ -176,26 +176,24 @@ def infer_tcam(
     """
     if query.shape != (model.d,):
         raise UsageError(f"query has shape {query.shape}, expected ({model.d},)")
-    q = _pad_to_blocks(query, plan.block_size)
-    n_blocks = q.size // plan.block_size
+    block, bias = plan.block_size, plan.bias
+    i_rwl, t_search = bias.i_rwl_hd, bias.t_search
+    q = _pad_to_blocks(query, block)
+    n_blocks = q.size // block
     distances = {}
     energies = {}
     for label in model.labels:
-        row = _pad_to_blocks(model.class_vectors[label], plan.block_size)
+        row = _pad_to_blocks(model.class_vectors[label], block)
         hd = 0
         energy = 0.0
         for b in range(n_blocks):
-            lo = b * plan.block_size
-            hi = lo + plan.block_size
-            n_match = plan.block_size - hamming(row[lo:hi], q[lo:hi])
-            v_ml = ml_voltage_closed_form(plan.block_size, n_match, plan.i_rwl_per_bit)
-            decoded = invert_ml_voltage_closed_form(
-                v_ml, plan.block_size, plan.i_rwl_per_bit
-            )
-            hd += plan.block_size - decoded
-            energy += search_energy(
-                v_ml, plan.block_size, plan.i_rwl_per_bit, plan.t_search
-            )
+            lo = b * block
+            hi = lo + block
+            n_match = block - hamming(row[lo:hi], q[lo:hi])
+            v_ml = ml_voltage_closed_form(block, n_match, i_rwl, bias)
+            decoded = invert_ml_voltage_closed_form(v_ml, block, i_rwl, bias)
+            hd += block - decoded
+            energy += search_energy(v_ml, block, i_rwl, t_search)
         distances[label] = hd
         energies[label] = energy
     best = min(model.labels, key=lambda lb: (distances[lb], model.labels.index(lb)))
@@ -234,11 +232,10 @@ def energy_sweep(
     d_bits: int,
     block_sizes,
     match_fraction: float,
-    i_rwl_per_bit: float = 5e-6,
-    t_search: float = DEFAULT_T_SEARCH,
+    bias: BiasConfig = BiasConfig(),
 ) -> list[dict]:
     """Per-comparison energy table across block sizes at a fixed match
-    fraction.
+    fraction, for HD-mode rows described by ``bias``.
 
     The FeSQUID energy depends only on (match fraction, I_RWL), so the
     column is constant across block sizes; the SRAM reference column
@@ -259,9 +256,9 @@ def energy_sweep(
                 f"match fraction {match_fraction} gives a non-integer "
                 f"per-block match count for block size {block}"
             )
-        v_ml = ml_voltage_closed_form(block, n_match, i_rwl_per_bit)
+        v_ml = ml_voltage_closed_form(block, n_match, bias.i_rwl_hd, bias)
         n_blocks = d_bits // block
-        energy = n_blocks * search_energy(v_ml, block, i_rwl_per_bit, t_search)
+        energy = n_blocks * search_energy(v_ml, block, bias.i_rwl_hd, bias.t_search)
         sram = (
             SRAM_REF_BLOCK10_10KBIT * (d_bits / 10000.0)
             if block == SRAM_REF_BLOCK_SIZE
@@ -339,24 +336,35 @@ def save_model(model: HdcModel, path):
 
 
 def load_model(path) -> HdcModel:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("format") != MODEL_FORMAT:
+    """Read a model written by ``save_model``; a file that is not valid
+    JSON or lacks a field raises UsageError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            payload = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"{path}: not a {MODEL_FORMAT} file ({exc})") from exc
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise UsageError(f"{path}: not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:
         raise UsageError(
             f"{path}: unsupported model version {payload.get('version')}"
         )
-    d = int(payload["d"])
-    vectors = {}
-    for label in payload["labels"]:
-        raw = base64.b64decode(payload["class_vectors"][label])
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:d]
-        vectors[label] = bits.astype(np.uint8)
-    return HdcModel(
-        labels=tuple(payload["labels"]),
-        class_vectors=vectors,
-        d=d,
-        n_gram=int(payload["n_gram"]),
-        seed=int(payload["seed"]),
-    )
+    try:
+        d = int(payload["d"])
+        vectors = {}
+        for label in payload["labels"]:
+            raw = base64.b64decode(payload["class_vectors"][label])
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:d]
+            vectors[label] = bits.astype(np.uint8)
+        return HdcModel(
+            labels=tuple(payload["labels"]),
+            class_vectors=vectors,
+            d=d,
+            n_gram=int(payload["n_gram"]),
+            seed=int(payload["seed"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(
+            f"{path}: malformed {MODEL_FORMAT} file: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc

@@ -33,19 +33,25 @@ class HtronDevice:
             raise DomainError(f"t_switch must be > 0, got {self.t_switch}")
 
 
-def apply_drive(dev: HtronDevice, i_g: float, i_b: float) -> str:
-    """Apply gate current ``i_g`` and channel bias ``i_b``; returns the
-    resulting channel state.
-
-    Resistive iff i_g > i_g_crit or i_b > i_ch_crit (strict).  Each
-    superconducting-to-resistive transition is counted; it costs
-    ``t_switch`` on the search path.
-    """
+def drive_state(dev: HtronDevice, i_g: float, i_b: float) -> str:
+    """Channel state under gate current ``i_g`` and channel bias ``i_b``,
+    without touching ``dev``: resistive iff i_g > i_g_crit or
+    i_b > i_ch_crit (strict)."""
     if i_g < 0.0 or i_b < 0.0:
         raise DomainError("gate and channel currents must be >= 0")
-    new_state = (
+    return (
         RESISTIVE if (i_g > dev.i_g_crit or i_b > dev.i_ch_crit) else SUPERCONDUCTING
     )
+
+
+def apply_drive(dev: HtronDevice, i_g: float, i_b: float) -> str:
+    """Apply gate current ``i_g`` and channel bias ``i_b``; returns the
+    resulting channel state (see ``drive_state``).
+
+    Each superconducting-to-resistive transition is counted; it costs
+    ``t_switch`` on the search path.
+    """
+    new_state = drive_state(dev, i_g, i_b)
     if dev.state == SUPERCONDUCTING and new_state == RESISTIVE:
         dev.switch_count += 1
     dev.state = new_state

@@ -19,47 +19,38 @@ low-I_C device exactly when the bit matches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .device_physics import (
-    SuperconductorParams,
-    ab_critical_current,
-    bcs_gap,
-    tc_from_polarization,
-)
+from .device_physics import SuperconductorParams
 from .errors import ConfigError, DomainError, UnsupportedModeError, UsageError
-from .fesquid import FeSquidDevice, critical_current, state_resistance
+from .fesquid import FeSquidDevice, critical_current, critical_window
 from .ferroelectric import PreisachModel, drive_voltage, remnant_fraction
-from .htron import SUPERCONDUCTING, HtronDevice, apply_drive, channel_resistance
+from .htron import RESISTIVE, HtronDevice, drive_state
 
 TRITS = ("0", "1", "d")
 
-# HD-mode row network constants: gate-driven branch, matched-bit branch,
-# mismatched-bit branch.
-R_GATE_OFFSTATE = 50e3
-R_MATCH = 1.8e3
-R_MISMATCH = 0.9e3
-DEFAULT_T_SEARCH = 0.3e-9
 
-
-@dataclass
+@dataclass(frozen=True)
 class BiasConfig:
-    """Array bias currents, write voltage, and search timing."""
+    """The row record: bias currents, write voltage, search time and
+    match-line branch resistances (SI).  Searches, closed forms,
+    calibration and HDC plans all read it; ``RunConfig.bias()`` builds it."""
 
     i_rwl_exact: float = 3.2e-6  # A per cell, exact mode (calibrated default)
     i_rwl_hd: float = 5e-6  # A per cell, HD mode
     i_rbl_on: float = 40e-6  # A, asserted search gate current
     v_write: float = 2.0  # V
-    t_search: float = DEFAULT_T_SEARCH  # s
+    t_search: float = 0.3e-9  # s, one hTron switching time
     r_fs_exact: float = 900.0  # ohm, conducting FeSQUID in an exact-mode match
+    r_gate: float = 50e3  # ohm, gate-driven branch (resistive hTron channel)
+    r_match: float = 1.8e3  # ohm, HD-mode matched bit (low-I_C state)
+    r_mismatch: float = 0.9e3  # ohm, HD-mode mismatched bit (high-I_C state)
 
 
 @dataclass
 class TcamCell:
     fs1: FeSquidDevice
     fs2: FeSquidDevice
-    ht1: HtronDevice
-    ht2: HtronDevice
 
 
 @dataclass(frozen=True)
@@ -92,9 +83,11 @@ class MatchLineResult:
 class TcamArray:
     """rows x cols grid of TCAM cells sharing one ML per row.
 
-    Searches are read-only over the stored device states and may run
-    concurrently; a write needs exclusive access to the whole array (the
-    V/2 scheme touches an entire row and column).
+    Searches read the row record ``bias`` and the one ``htron`` record all
+    access switches share, whose r_off and t_switch must equal
+    ``bias.r_gate`` and ``bias.t_search``.  Searches are pure, so they may
+    run concurrently; a write needs exclusive access to the whole array
+    (the V/2 scheme touches an entire row and column).
     """
 
     def __init__(
@@ -105,9 +98,7 @@ class TcamArray:
         sc: SuperconductorParams | None = None,
         t_op: float = 4.0,
         bias: BiasConfig | None = None,
-        htron_proto: HtronDevice | None = None,
-        r_low_state: float = R_MATCH,
-        r_high_state: float = R_MISMATCH,
+        htron: HtronDevice | None = None,
     ):
         if rows < 1 or cols < 1:
             raise DomainError("array must have at least one row and column")
@@ -116,44 +107,26 @@ class TcamArray:
         self.fe_model = fe_model or PreisachModel()
         self.sc = sc or SuperconductorParams()
         self.t_op = t_op
-        self.bias = bias or BiasConfig()
-        proto = htron_proto or HtronDevice()
+        self.bias = bias = bias or BiasConfig()
+        self.htron = htron or HtronDevice(r_off=bias.r_gate, t_switch=bias.t_search)
+        if (self.htron.r_off, self.htron.t_switch) != (bias.r_gate, bias.t_search):
+            raise ConfigError(
+                "the hTron's r_off and t_switch must equal the row's r_gate "
+                "and t_search"
+            )
 
-        def make_cell():
-            def fs():
-                return FeSquidDevice(
-                    fe=self.fe_model.initial_state(),
-                    sc=self.sc,
-                    t_op=self.t_op,
-                    r_low_state=r_low_state,
-                    r_high_state=r_high_state,
-                )
+        def fs():
+            return FeSquidDevice(
+                fe=self.fe_model.initial_state(),
+                sc=self.sc,
+                t_op=self.t_op,
+                r_low_state=bias.r_match,
+                r_high_state=bias.r_mismatch,
+            )
 
-            def ht():
-                return HtronDevice(
-                    i_g_crit=proto.i_g_crit,
-                    i_ch_crit=proto.i_ch_crit,
-                    r_off=proto.r_off,
-                    t_switch=proto.t_switch,
-                )
-
-            return TcamCell(fs1=fs(), fs2=fs(), ht1=ht(), ht2=ht())
-
-        self.cells = [[make_cell() for _ in range(cols)] for _ in range(rows)]
-
-    def saturated_critical_currents(self) -> tuple[float, float]:
-        """(I_C,low, I_C,high) of a fully written device at t_op."""
-        low = ab_critical_current(
-            bcs_gap(self.t_op, tc_from_polarization(+1.0, self.sc)),
-            self.t_op,
-            self.sc.r_n,
-        )
-        high = ab_critical_current(
-            bcs_gap(self.t_op, tc_from_polarization(-1.0, self.sc)),
-            self.t_op,
-            self.sc.r_n,
-        )
-        return low, high
+        self.cells = [
+            [TcamCell(fs1=fs(), fs2=fs()) for _ in range(cols)] for _ in range(rows)
+        ]
 
     def read_bit(self, row: int, col: int) -> int:
         """Stored bit from the device states (fs1 negative remnant = 1)."""
@@ -229,11 +202,34 @@ def store_word(array: TcamArray, row: int, bits: str) -> TcamArray:
     return array
 
 
-def _drive_gates(cell: TcamCell, trit: str, i_rbl_on: float):
-    g1 = i_rbl_on if trit in ("1", "d") else 0.0
-    g2 = i_rbl_on if trit in ("0", "d") else 0.0
-    apply_drive(cell.ht1, g1, 0.0)
-    apply_drive(cell.ht2, g2, 0.0)
+def exact_bias_problem(
+    i_rwl: float, window: tuple[float, float], calibrated: bool = False
+) -> str | None:
+    """None when I_C,low < i_rwl < I_C,high, else the violation message
+    (worded for a calibration result when ``calibrated``)."""
+    ic_low, ic_high = window
+    if ic_low < i_rwl < ic_high:
+        return None
+    if calibrated:
+        return (
+            f"calibrated I_RWL={i_rwl:.4g} A falls outside the exact-mode "
+            f"window ({ic_low:.4g}, {ic_high:.4g}) A"
+        )
+    return (
+        f"exact mode requires I_C,low < I_RWL < I_C,high: "
+        f"I_RWL={i_rwl:.4g} A vs ({ic_low:.4g}, {ic_high:.4g}) A"
+    )
+
+
+def hd_bias_problem(i_rwl: float, window: tuple[float, float]) -> str | None:
+    """None when i_rwl > I_C,high, else the violation message."""
+    ic_high = window[1]
+    if i_rwl > ic_high:
+        return None
+    return (
+        f"HD mode requires I_RWL > I_C,high: I_RWL={i_rwl:.4g} A vs "
+        f"I_C,high={ic_high:.4g} A"
+    )
 
 
 def _count_matches(array: TcamArray, row: int, key: SearchKey) -> int:
@@ -244,106 +240,89 @@ def _count_matches(array: TcamArray, row: int, key: SearchKey) -> int:
     )
 
 
-def _row_result(v_ml: float, n_match: int, total_i: float, t_search: float):
-    power = total_i * v_ml
-    return MatchLineResult(
-        v_ml=v_ml, n_match=n_match, power=power, energy=power * t_search
-    )
+def _search(array: TcamArray, key: SearchKey, hd: bool) -> list[MatchLineResult]:
+    """Both modes' resistive row solve, a pure function of the stored
+    states and the key.
+
+    The key alone sets each gate through the hTron threshold; a driven
+    branch is an r_gate resistor.  A branch whose gate stays off conducts
+    through its FeSQUID: in exact mode at r_fs_exact above I_C (below it
+    the ML is shorted), in HD mode at r_match or r_mismatch by stored
+    state.  Conductances add branch by branch in column order; this sum is
+    the reference the HD closed form is tested against.
+    """
+    if len(key) != array.cols:
+        raise UsageError(f"key length {len(key)} != array width {array.cols}")
+    if hd and key.has_dont_care:
+        raise UnsupportedModeError(
+            "HD mode does not support don't-care trits; use exact mode"
+        )
+    bias = array.bias
+    window = critical_window(array.sc, array.t_op)
+    i_rwl = bias.i_rwl_hd if hd else bias.i_rwl_exact
+    problem = (hd_bias_problem if hd else exact_bias_problem)(i_rwl, window)
+    if problem:
+        raise ConfigError(problem)
+
+    def gated(trit: str, drives: str) -> bool:
+        i_g = bias.i_rbl_on if trit in drives else 0.0
+        return drive_state(array.htron, i_g, 0.0) == RESISTIVE
+
+    # search 1 drives ht1, search 0 drives ht2, d drives both
+    gates = [(gated(t, "1d"), gated(t, "0d")) for t in key.trits]
+    g_gate = 1.0 / bias.r_gate
+    total_i = array.cols * i_rwl
+    results = []
+    for r, cells in enumerate(array.cells):
+        g_row = 0.0
+        shorted = False
+        for cell, pair in zip(cells, gates):
+            for fs, gated in zip((cell.fs1, cell.fs2), pair):
+                if gated:
+                    g_row += g_gate
+                elif hd:
+                    low_ic = remnant_fraction(fs.fe) >= 0.0
+                    g_row += 1.0 / (bias.r_match if low_ic else bias.r_mismatch)
+                elif i_rwl > critical_current(fs):
+                    g_row += 1.0 / bias.r_fs_exact
+                else:
+                    shorted = True
+        v_ml = 0.0 if shorted else total_i / g_row
+        power = total_i * v_ml
+        n_match = _count_matches(array, r, key)
+        results.append(MatchLineResult(v_ml, n_match, power, power * bias.t_search))
+    return results
 
 
 def search_exact(array: TcamArray, key: SearchKey) -> list[MatchLineResult]:
     """Exact-search all rows; v_ml is 0 exactly iff any non-d trit
     mismatches the stored bit (a superconducting branch shorts the ML)."""
-    if len(key) != array.cols:
-        raise UsageError(f"key length {len(key)} != array width {array.cols}")
-    i_rwl = array.bias.i_rwl_exact
-    ic_low, ic_high = array.saturated_critical_currents()
-    if not (ic_low < i_rwl < ic_high):
-        raise ConfigError(
-            f"exact mode requires I_C,low < I_RWL < I_C,high: "
-            f"I_RWL={i_rwl:.4g} A vs ({ic_low:.4g}, {ic_high:.4g}) A"
-        )
-    results = []
-    for r in range(array.rows):
-        g_row = 0.0
-        shorted = False
-        for c, trit in enumerate(key.trits):
-            cell = array.cells[r][c]
-            _drive_gates(cell, trit, array.bias.i_rbl_on)
-            for ht, fs in ((cell.ht1, cell.fs1), (cell.ht2, cell.fs2)):
-                if ht.state == SUPERCONDUCTING:
-                    # Gate off: the FeSQUID sees the full cell current.
-                    if i_rwl > critical_current(fs):
-                        g_row += 1.0 / array.bias.r_fs_exact
-                    else:
-                        shorted = True
-                else:
-                    # Gate-driven branch: FeSQUID current stays far below
-                    # I_C, so only the channel resistance counts.
-                    g_row += 1.0 / channel_resistance(ht)
-        v_ml = 0.0 if shorted else (array.cols * i_rwl) / g_row
-        results.append(
-            _row_result(
-                v_ml, _count_matches(array, r, key), array.cols * i_rwl,
-                array.bias.t_search,
-            )
-        )
-    return results
+    return _search(array, key, hd=False)
 
 
 def search_hd(array: TcamArray, key: SearchKey) -> list[MatchLineResult]:
     """Hamming-distance search: every cell is resistive and the analog ML
     voltage encodes the matched-bit count (strictly increasing in it)."""
-    if len(key) != array.cols:
-        raise UsageError(f"key length {len(key)} != array width {array.cols}")
-    if key.has_dont_care:
-        raise UnsupportedModeError(
-            "HD mode does not support don't-care trits; use exact mode"
-        )
-    i_rwl = array.bias.i_rwl_hd
-    _, ic_high = array.saturated_critical_currents()
-    if not i_rwl > ic_high:
-        raise ConfigError(
-            f"HD mode requires I_RWL > I_C,high: I_RWL={i_rwl:.4g} A vs "
-            f"I_C,high={ic_high:.4g} A"
-        )
-    results = []
-    for r in range(array.rows):
-        g_row = 0.0
-        for c, trit in enumerate(key.trits):
-            cell = array.cells[r][c]
-            _drive_gates(cell, trit, array.bias.i_rbl_on)
-            for ht, fs in ((cell.ht1, cell.fs1), (cell.ht2, cell.fs2)):
-                if ht.state == SUPERCONDUCTING:
-                    # I_RWL exceeds I_C,high, so the conducting FeSQUID is
-                    # always resistive at its state resistance.
-                    g_row += 1.0 / state_resistance(fs)
-                else:
-                    g_row += 1.0 / channel_resistance(ht)
-        v_ml = (array.cols * i_rwl) / g_row
-        results.append(
-            _row_result(
-                v_ml, _count_matches(array, r, key), array.cols * i_rwl,
-                array.bias.t_search,
-            )
-        )
-    return results
+    return _search(array, key, hd=True)
 
 
 def ml_voltage_closed_form(
     n_bits: int,
     n_match: int,
     i_rwl_per_bit: float,
-    r_gate: float = R_GATE_OFFSTATE,
-    r_match: float = R_MATCH,
-    r_mismatch: float = R_MISMATCH,
+    bias: BiasConfig = BiasConfig(),
 ) -> float:
-    """Closed-form HD-mode match-line voltage for an n-bit row."""
+    """Closed-form HD-mode match-line voltage for an n-bit row with the
+    branch resistances of ``bias``."""
     if n_bits < 1:
         raise DomainError(f"n_bits must be >= 1, got {n_bits}")
     if not 0 <= n_match <= n_bits:
         raise DomainError(f"n_match must be in [0, {n_bits}], got {n_match}")
-    g = n_bits / r_gate + n_match / r_match + (n_bits - n_match) / r_mismatch
+    g = (
+        n_bits / bias.r_gate
+        + n_match / bias.r_match
+        + (n_bits - n_match) / bias.r_mismatch
+    )
     return (n_bits * i_rwl_per_bit) / g
 
 
@@ -351,9 +330,7 @@ def invert_ml_voltage_closed_form(
     v_ml: float,
     n_bits: int,
     i_rwl_per_bit: float,
-    r_gate: float = R_GATE_OFFSTATE,
-    r_match: float = R_MATCH,
-    r_mismatch: float = R_MISMATCH,
+    bias: BiasConfig = BiasConfig(),
 ) -> int:
     """Recover the matched-bit count from an HD-mode ML voltage.
 
@@ -363,7 +340,9 @@ def invert_ml_voltage_closed_form(
     if v_ml <= 0.0:
         raise DomainError(f"v_ml must be > 0, got {v_ml}")
     g = (n_bits * i_rwl_per_bit) / v_ml
-    m = (g - n_bits / r_gate - n_bits / r_mismatch) / (1.0 / r_match - 1.0 / r_mismatch)
+    m = (g - n_bits / bias.r_gate - n_bits / bias.r_mismatch) / (
+        1.0 / bias.r_match - 1.0 / bias.r_mismatch
+    )
     return min(n_bits, max(0, round(m)))
 
 
@@ -371,7 +350,7 @@ def search_energy(
     result,
     n_bits: int,
     i_rwl_per_bit: float,
-    t_search: float = DEFAULT_T_SEARCH,
+    t_search: float = BiasConfig.t_search,
 ) -> float:
     """Energy (J) of one row search: n_bits * I_RWL * V_ML * t_search.
 
@@ -382,20 +361,20 @@ def search_energy(
 
 
 def invert_energy_targets(
-    binary_avg: float,
-    ternary_avg: float,
-    t_search: float = DEFAULT_T_SEARCH,
-    r_gate: float = R_GATE_OFFSTATE,
+    binary_avg: float, ternary_avg: float, bias: BiasConfig = BiasConfig()
 ) -> tuple[float, float]:
-    """Invert the averaged 1-bit search energies to (I_RWL, r_fs).
+    """Invert the averaged 1-bit search energies to (I_RWL, r_fs) at the
+    gate resistance and search time of ``bias``.
 
     Binary average over the four (data, search) cases is E_match/2 (two
     matches, two zero-energy mismatches); the ternary average over six
     cases adds the two don't-cares at E_d = I^2 * (r_gate/2) * t.  From
     E_match = I^2 * (r_fs || r_gate) * t the positive pair is unique.
+    ``exact_energy_averages`` is the forward map.
     """
     if binary_avg <= 0.0 or ternary_avg <= 0.0:
         raise DomainError("energy targets must be > 0")
+    r_gate, t_search = bias.r_gate, bias.t_search
     e_match = 2.0 * binary_avg
     e_dontcare = 3.0 * ternary_avg - e_match
     if e_dontcare <= 0.0:
@@ -414,6 +393,32 @@ def invert_energy_targets(
     return i_rwl, r_fs
 
 
+def exact_energy_averages(bias: BiasConfig) -> tuple[float, float]:
+    """(binary, ternary) average 1-bit exact-mode search energies (J) of
+    ``bias``; the forward map ``invert_energy_targets`` inverts."""
+    i_rwl, r_fs, r_gate = bias.i_rwl_exact, bias.r_fs_exact, bias.r_gate
+    r_par = r_fs * r_gate / (r_fs + r_gate)
+    e_match = i_rwl**2 * r_par * bias.t_search
+    e_dontcare = i_rwl**2 * (r_gate / 2.0) * bias.t_search
+    return e_match / 2.0, (2 * e_match + 2 * e_dontcare) / 6.0
+
+
+def calibrated_bias(
+    bias: BiasConfig,
+    window: tuple[float, float],
+    binary_avg: float,
+    ternary_avg: float,
+) -> BiasConfig:
+    """``bias`` with its exact-mode I_RWL and r_fs inverted from
+    average-energy targets, after checking the bias sits inside the
+    critical-current ``window``."""
+    i_rwl, r_fs = invert_energy_targets(binary_avg, ternary_avg, bias)
+    problem = exact_bias_problem(i_rwl, window, calibrated=True)
+    if problem:
+        raise ConfigError(problem)
+    return replace(bias, i_rwl_exact=i_rwl, r_fs_exact=r_fs)
+
+
 def calibrate_exact_bias(
     array: TcamArray, binary_avg: float, ternary_avg: float
 ) -> tuple[float, float]:
@@ -423,14 +428,7 @@ def calibrate_exact_bias(
     BiasConfig after checking the bias sits inside the critical-current
     window.
     """
-    i_rwl, r_fs = invert_energy_targets(
-        binary_avg, ternary_avg, array.bias.t_search
+    array.bias = calibrated_bias(
+        array.bias, critical_window(array.sc, array.t_op), binary_avg, ternary_avg
     )
-    ic_low, ic_high = array.saturated_critical_currents()
-    if not (ic_low < i_rwl < ic_high):
-        raise ConfigError(
-            f"calibrated I_RWL={i_rwl:.4g} A falls outside the exact-mode "
-            f"window ({ic_low:.4g}, {ic_high:.4g}) A"
-        )
-    array.bias = replace(array.bias, i_rwl_exact=i_rwl, r_fs_exact=r_fs)
-    return i_rwl, r_fs
+    return array.bias.i_rwl_exact, array.bias.r_fs_exact

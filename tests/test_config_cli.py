@@ -7,6 +7,8 @@ import pytest
 from cryocam.cli import main
 from cryocam.config import DEFAULTS, build_config, parse_config
 from cryocam.errors import ConfigError
+from cryocam.hdc import save_model, synthetic_corpus, train
+from cryocam.tcam import BiasConfig
 
 
 class TestConfigParsing:
@@ -89,11 +91,32 @@ class TestConfigParsing:
         low, high = cfg.critical_window()
         assert 2.0e-6 < low < high < 4.5e-6
 
+    def test_default_config_builds_default_row_record(self):
+        cfg = build_config()
+        assert cfg.bias() == BiasConfig()
+        assert cfg.htron().t_switch == cfg.bias().t_search
+
 
 def run_cli(args, tmp_path, name="out"):
     out = tmp_path / name
     code = main(["--out", str(out), *args])
     return code, out
+
+
+def error_payload(capsys) -> dict:
+    """The single JSON line a failed run prints to stderr."""
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    return json.loads(line)
+
+
+@pytest.fixture
+def model_and_text(tmp_path):
+    corpus = synthetic_corpus(3, 5, 400, seed=1234)
+    model = tmp_path / "model.json"
+    save_model(train(corpus, d=512, n_gram=3, seed=1234), model)
+    text = tmp_path / "query.txt"
+    text.write_text(corpus["lang01"][4])
+    return model, text
 
 
 class TestCliTcam:
@@ -151,6 +174,15 @@ class TestCliTcam:
         assert payload["binary_avg_aJ"] == pytest.approx(1.36, rel=1e-6)
         assert payload["ternary_avg_aJ"] == pytest.approx(26.5, rel=1e-6)
 
+    def test_calibrate_round_trips_at_configured_gate(self, tmp_path):
+        code, out = run_cli(
+            ["--set", "ht_r_off_kohm=40", "tcam", "calibrate"], tmp_path
+        )
+        assert code == 0
+        payload = json.loads((out / "tcam_calibrate.json").read_text())
+        assert payload["binary_avg_aJ"] == pytest.approx(1.36, rel=1e-9)
+        assert payload["ternary_avg_aJ"] == pytest.approx(26.5, rel=1e-9)
+
 
 class TestCliDeviceAndFe:
     def test_device_iv_behavioral(self, tmp_path):
@@ -201,6 +233,29 @@ class TestCliHdc:
         assert payload["label"] == "lang01"
         assert set(payload["distances"]) == {"lang00", "lang01", "lang02"}
 
+    def test_infer_energies_follow_bias_and_search_time(
+        self, model_and_text, tmp_path
+    ):
+        model, text = model_and_text
+
+        def energies(name, *overrides):
+            sets = [arg for item in overrides for arg in ("--set", item)]
+            code, out = run_cli(
+                [*sets, "hdc", "infer", "--model", str(model), "--text", str(text)],
+                tmp_path,
+                name,
+            )
+            assert code == 0
+            return json.loads((out / "hdc_infer.json").read_text())["energies_J"]
+
+        base = energies("base")
+        # E = n^2 I^2 t / G: quadratic in the bias, linear in the search time
+        by_current = energies("current", "i_rwl_hd_uA=9")
+        by_time = energies("time", "t_search_ns=0.6")
+        for label, e in base.items():
+            assert abs(by_current[label] / (e * (9 / 5) ** 2) - 1.0) < 1e-9
+            assert abs(by_time[label] / (e * 2) - 1.0) < 1e-9
+
     def test_sweep_energy_column(self, tmp_path):
         code, out = run_cli(
             ["hdc", "sweep", "--d", "10000", "--match", "0.5"], tmp_path
@@ -241,6 +296,51 @@ class TestCliErrors:
              str(tmp_path / "none.txt")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("key", ["ht_i_ch_crit_uA", "ht_t_switch_ns"])
+    def test_dropped_keys_are_unknown(self, key, tmp_path, capsys):
+        code, _ = run_cli(["--set", f"{key}=0.3", "tcam", "calibrate"], tmp_path)
+        assert code == 3
+        assert any("unknown key" in m for m in error_payload(capsys)["messages"])
+
+    @pytest.mark.parametrize("corrupt", ["missing_d", "truncated"])
+    def test_corrupt_model_exits_3(self, corrupt, model_and_text, tmp_path, capsys):
+        model, text = model_and_text
+        if corrupt == "missing_d":
+            payload = json.loads(model.read_text())
+            del payload["d"]
+            model.write_text(json.dumps(payload))
+        else:
+            model.write_text(model.read_text()[:40])
+        code, _ = run_cli(
+            ["hdc", "infer", "--model", str(model), "--text", str(text)], tmp_path
+        )
+        assert code == 3
+        assert error_payload(capsys)["error_category"] == "validation"
+
+    def test_non_utf8_text_exits_3(self, model_and_text, tmp_path, capsys):
+        model, text = model_and_text
+        text.write_bytes(b"caf\xe9 au lait")
+        code, _ = run_cli(
+            ["hdc", "infer", "--model", str(model), "--text", str(text)], tmp_path
+        )
+        assert code == 3
+        assert error_payload(capsys)["error_category"] == "validation"
+
+    def test_non_utf8_corpus_exits_3(self, tmp_path, capsys):
+        (tmp_path / "corpus" / "fr").mkdir(parents=True)
+        (tmp_path / "corpus" / "fr" / "a.txt").write_bytes(b"caf\xe9 au lait")
+        code, _ = run_cli(
+            ["hdc", "train", "--corpus", str(tmp_path / "corpus")], tmp_path
+        )
+        assert code == 3
+        assert error_payload(capsys)["error_category"] == "validation"
+
+    def test_device_iv_without_points_exits_3(self, tmp_path, capsys):
+        code, out = run_cli(["device", "iv", "--points", "0"], tmp_path)
+        assert code == 3
+        assert error_payload(capsys)["error_category"] == "validation"
+        assert not (out / "device_iv.csv").exists()
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cryocam.config import build_config
 from cryocam.errors import DomainError, UsageError
 from cryocam.hdc import (
     BlockPlan,
@@ -212,6 +213,29 @@ class TestTcamEngine:
         assert res.v_ml == pytest.approx(expected, rel=1e-12)
         decoded = invert_ml_voltage_closed_form(res.v_ml, block, array.bias.i_rwl_hd)
         assert decoded == n_match
+
+    def test_overridden_row_record_agrees_with_array_search(self):
+        # one block, so infer_tcam and energy_sweep each reduce to a single
+        # closed-form row that must equal the network solve of a real row
+        cfg = build_config({"r_low_state_ohm": "2400", "ht_r_off_kohm": "40"})
+        block = 16
+        stored = np.random.default_rng(3).integers(0, 2, block, dtype=np.uint8)
+        query = stored.copy()
+        query[::2] ^= 1  # 8 of 16 bits match
+        array = cfg.make_array(1, block)
+        store_word(array, 0, "".join(map(str, stored)))
+        res = search_hd(array, SearchKey("".join(map(str, query))))[0]
+        assert res.n_match == block // 2
+
+        m = HdcModel(
+            labels=("row",), class_vectors={"row": stored}, d=block, n_gram=3, seed=0
+        )
+        plan = BlockPlan(block_size=block, bias=cfg.bias())
+        _, distances, energies = infer_tcam(m, query, plan)
+        assert distances["row"] == block // 2
+        assert abs(energies["row"] - res.energy) / res.energy < 1e-12
+        swept = energy_sweep(block, [block], 0.5, cfg.bias())[0]["energy_J_fesquid"]
+        assert abs(swept - res.energy) / res.energy < 1e-12
 
     def test_headline_energy_at_ten_thousand_bits(self):
         q = np.zeros(10000, dtype=np.uint8)

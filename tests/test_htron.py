@@ -10,6 +10,7 @@ from cryocam.htron import (
     HtronDevice,
     apply_drive,
     channel_resistance,
+    drive_state,
 )
 
 
@@ -50,6 +51,13 @@ class TestSwitching:
             if s1 == RESISTIVE:
                 assert s2 == RESISTIVE
         assert dev.state == SUPERCONDUCTING  # untouched template
+
+    def test_drive_state_leaves_device_untouched(self):
+        dev = HtronDevice()
+        assert drive_state(dev, 25e-6, 0.0) == RESISTIVE
+        assert drive_state(dev, 0.0, 70e-6) == RESISTIVE
+        assert dev.state == SUPERCONDUCTING
+        assert dev.switch_count == 0
 
     def test_negative_currents_rejected(self):
         with pytest.raises(DomainError):

@@ -1,12 +1,15 @@
 """TCAM cells and arrays: write scheme, search semantics, energy model."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
+from cryocam.config import build_config
 from cryocam.errors import ConfigError, DomainError, UnsupportedModeError, UsageError
 from cryocam.ferroelectric import remnant_fraction
+from cryocam.htron import HtronDevice
 from cryocam.tcam import (
     BiasConfig,
     SearchKey,
@@ -312,6 +315,21 @@ class TestCalibration:
         assert abs(binary_avg - BINARY_TARGET) / BINARY_TARGET < 0.02
         assert abs(ternary_avg - TERNARY_TARGET) / TERNARY_TARGET < 0.02
 
+    def test_round_trip_at_configured_gate_resistance(self):
+        array = build_config({"ht_r_off_kohm": "40"}).make_array(2, 1)
+        store_word(array, 0, "0")
+        store_word(array, 1, "1")
+        calibrate_exact_bias(array, BINARY_TARGET, TERNARY_TARGET)
+        energies = [
+            res.energy
+            for key in ("0", "1", "d")
+            for res in search_exact(array, SearchKey(key))
+        ]
+        binary_avg = sum(energies[:4]) / 4.0
+        ternary_avg = sum(energies) / 6.0
+        assert abs(binary_avg - BINARY_TARGET) / BINARY_TARGET < 1e-9
+        assert abs(ternary_avg - TERNARY_TARGET) / TERNARY_TARGET < 1e-9
+
     def test_scaling_targets_scales_current_only(self):
         i1, r1 = invert_energy_targets(BINARY_TARGET, TERNARY_TARGET)
         i2, r2 = invert_energy_targets(2 * BINARY_TARGET, 2 * TERNARY_TARGET)
@@ -337,6 +355,26 @@ class TestCalibration:
         assert array.bias.r_fs_exact == r_fs
 
 
+class TestSearchPurity:
+    def test_searches_change_no_state(self):
+        array = TcamArray(3, 4)
+        for r, word in enumerate(("0110", "1010", "0001")):
+            store_word(array, r, word)
+        array.remnant_signs()  # warm the remnant caches the searches read
+        before = pickle.dumps(array)
+        for key in ("0110", "1d0d", "dddd", "1111"):
+            search_exact(array, SearchKey(key))
+        for key in ("0110", "1001", "0000"):
+            search_hd(array, SearchKey(key))
+        assert pickle.dumps(array) == before
+
+    def test_htron_must_agree_with_row_record(self):
+        with pytest.raises(ConfigError, match="r_gate"):
+            TcamArray(1, 1, bias=BiasConfig(r_gate=40e3), htron=HtronDevice())
+        with pytest.raises(ConfigError, match="t_search"):
+            TcamArray(1, 1, bias=BiasConfig(t_search=1e-9), htron=HtronDevice())
+
+
 class TestSearchKeyAndTiming:
     def test_key_charset_validated(self):
         with pytest.raises(UsageError):
@@ -344,4 +382,4 @@ class TestSearchKeyAndTiming:
 
     def test_search_time_is_one_switching_depth(self):
         array = TcamArray(1, 8)
-        assert array.bias.t_search == array.cells[0][0].ht1.t_switch
+        assert array.bias.t_search == array.htron.t_switch
