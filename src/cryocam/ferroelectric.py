@@ -146,7 +146,8 @@ def apply_waveform(state: PreisachState, samples) -> np.ndarray:
 
 def remnant_fraction(state: PreisachState) -> float:
     """Polarization fraction P(v=0)/p_s the state would retain at zero
-    field, without mutating it."""
+    field, without mutating it.  Clamped to [-1, 1]: the normalised
+    weights of a saturated grid can sum a few ulps past 1."""
     if state._remnant_cache is not None:
         return state._remnant_cache
     m = state.model
@@ -158,5 +159,5 @@ def remnant_fraction(state: PreisachState) -> float:
     else:
         up_eff = up
     up_weight = m.weights[up_eff].sum()
-    state._remnant_cache = 2.0 * up_weight - 1.0
+    state._remnant_cache = np.clip(2.0 * up_weight - 1.0, -1.0, 1.0)
     return state._remnant_cache

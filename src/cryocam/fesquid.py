@@ -49,7 +49,8 @@ class FeSquidDevice:
             raise DomainError("state resistances must be > 0")
 
 
-def _critical_current_at(p: float, sc: SuperconductorParams, t_op: float) -> float:
+def critical_current_at(p: float, sc: SuperconductorParams, t_op: float) -> float:
+    """Critical current (A) at remnant-polarization fraction ``p``."""
     t_c = tc_from_polarization(p, sc)
     if t_op >= t_c:
         raise DomainError(
@@ -60,14 +61,14 @@ def _critical_current_at(p: float, sc: SuperconductorParams, t_op: float) -> flo
 
 def critical_current(dev: FeSquidDevice) -> float:
     """State-dependent critical current (A) at the operating temperature."""
-    return _critical_current_at(remnant_fraction(dev.fe), dev.sc, dev.t_op)
+    return critical_current_at(remnant_fraction(dev.fe), dev.sc, dev.t_op)
 
 
 def critical_window(sc: SuperconductorParams, t_op: float) -> tuple[float, float]:
     """(I_C,low, I_C,high) in A: the critical currents of a fully written
     device (remnant fraction +1 and -1) at ``t_op``.  The exact-mode bias
     must sit inside this window, the HD-mode bias above it."""
-    return _critical_current_at(+1.0, sc, t_op), _critical_current_at(-1.0, sc, t_op)
+    return critical_current_at(+1.0, sc, t_op), critical_current_at(-1.0, sc, t_op)
 
 
 def state_resistance(dev: FeSquidDevice) -> float:

@@ -21,10 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .device_physics import SuperconductorParams
 from .errors import ConfigError, DomainError, UnsupportedModeError, UsageError
-from .fesquid import FeSquidDevice, critical_current, critical_window
-from .ferroelectric import PreisachModel, drive_voltage, remnant_fraction
+from .fesquid import critical_current_at, critical_window
+from .ferroelectric import (
+    PreisachModel,
+    PreisachState,
+    drive_voltage,
+    remnant_fraction,
+)
 from .htron import RESISTIVE, HtronDevice, drive_state
 
 TRITS = ("0", "1", "d")
@@ -45,12 +52,6 @@ class BiasConfig:
     r_gate: float = 50e3  # ohm, gate-driven branch (resistive hTron channel)
     r_match: float = 1.8e3  # ohm, HD-mode matched bit (low-I_C state)
     r_mismatch: float = 0.9e3  # ohm, HD-mode mismatched bit (high-I_C state)
-
-
-@dataclass
-class TcamCell:
-    fs1: FeSquidDevice
-    fs2: FeSquidDevice
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,20 @@ class MatchLineResult:
 class TcamArray:
     """rows x cols grid of TCAM cells sharing one ML per row.
 
+    Each cell holds two ferroelectrics, fs1 and fs2.  A device's state is
+    one small integer, ``ids[row, col, branch]``, that indexes a per-array
+    table of the distinct Preisach states the devices can reach.  By
+    wipe-out, V/2 pulse trains reach only a handful of them, so the table
+    stays short and a pulse is a gather through a memoised
+    ``(state id, voltage) -> state id`` map.  Fresh devices sit at negative
+    saturation settled at 0 V.
+
     Searches read the row record ``bias`` and the one ``htron`` record all
     access switches share, whose r_off and t_switch must equal
     ``bias.r_gate`` and ``bias.t_search``.  Searches are pure, so they may
     run concurrently; a write needs exclusive access to the whole array
-    (the V/2 scheme touches an entire row and column).
+    (the V/2 scheme touches an entire row and column, and may extend the
+    state table).
     """
 
     def __init__(
@@ -114,39 +124,76 @@ class TcamArray:
                 "the hTron's r_off and t_switch must equal the row's r_gate "
                 "and t_search"
             )
+        if t_op <= 0.0:
+            raise DomainError(f"t_op must be > 0 K, got {t_op}")
+        if bias.r_match <= 0.0 or bias.r_mismatch <= 0.0:
+            raise DomainError("state resistances must be > 0")
 
-        def fs():
-            return FeSquidDevice(
-                fe=self.fe_model.initial_state(),
-                sc=self.sc,
-                t_op=self.t_op,
-                r_low_state=bias.r_match,
-                r_high_state=bias.r_mismatch,
-            )
+        self._states: list[PreisachState] = []  # representative of each id
+        self._remnants: list[float] = []  # remnant_fraction of each id
+        self._ids_by_key: dict[tuple[bytes, float], int] = {}
+        # voltage -> the id a (v, 0 V) pulse leads to from each id
+        self._next: dict[float, list[int]] = {}
+        fresh = self.fe_model.initial_state()
+        drive_voltage(fresh, 0.0)
+        self.ids = np.full((rows, cols, 2), self._intern(fresh), dtype=np.int32)
 
-        self.cells = [
-            [TcamCell(fs1=fs(), fs2=fs()) for _ in range(cols)] for _ in range(rows)
-        ]
+    def _intern(self, fe: PreisachState) -> int:
+        """Id of the state equal to ``fe``; ``fe`` becomes the
+        representative of a new id if no state equals it."""
+        key = (fe.relay_up.tobytes(), fe.last_v)
+        sid = self._ids_by_key.get(key)
+        if sid is None:
+            sid = self._ids_by_key[key] = len(self._states)
+            self._states.append(fe)
+            self._remnants.append(remnant_fraction(fe))
+        return sid
+
+    def _pulse_maps(self) -> dict[float, np.ndarray]:
+        """The (v, 0 V) pulse map of each write voltage +/-V_WRITE and
+        +/-V_WRITE/2, as id arrays.  New transitions are run once on a
+        clone of the representative, until every map is total on the
+        state table."""
+        v_w = self.bias.v_write
+        volts = (v_w, -v_w, 0.5 * v_w, -0.5 * v_w)
+        known = 0
+        while known < len(self._states):
+            known = len(self._states)
+            for v in volts:
+                nxt = self._next.setdefault(v, [])
+                while len(nxt) < known:
+                    fe = self._states[len(nxt)].clone()
+                    drive_voltage(fe, v)
+                    drive_voltage(fe, 0.0)
+                    nxt.append(self._intern(fe))
+        return {v: np.array(self._next[v], dtype=np.int32) for v in volts}
+
+    def fe_state(self, row: int, col: int, branch: int) -> PreisachState:
+        """A clone of the Preisach state of ferroelectric fs1 (``branch``
+        1) or fs2 (2) of cell (row, col)."""
+        _check_address(self, row, col)
+        if branch not in (1, 2):
+            raise UsageError(f"branch must be 1 or 2, got {branch!r}")
+        return self._states[self.ids[row, col, branch - 1]].clone()
 
     def read_bit(self, row: int, col: int) -> int:
         """Stored bit from the device states (fs1 negative remnant = 1)."""
-        cell = self.cells[row][col]
-        return 1 if remnant_fraction(cell.fs1.fe) < 0.0 else 0
+        return 1 if self._remnants[self.ids[row, col, 0]] < 0.0 else 0
 
     def read_word(self, row: int) -> str:
-        return "".join(str(self.read_bit(row, c)) for c in range(self.cols))
+        ones = np.array(self._remnants)[self.ids[row, :, 0]] < 0.0
+        return (ones.astype(np.uint8) + ord("0")).tobytes().decode()
 
     def remnant_signs(self):
         """(rows x cols x 2) tuple snapshot of remnant signs, for tests."""
-        return tuple(
-            tuple(
-                (
-                    math.copysign(1.0, remnant_fraction(cell.fs1.fe)),
-                    math.copysign(1.0, remnant_fraction(cell.fs2.fe)),
-                )
-                for cell in row
-            )
-            for row in self.cells
+        signs = np.copysign(1.0, self._remnants)[self.ids]
+        return tuple(tuple(map(tuple, row)) for row in signs.tolist())
+
+
+def _check_address(array: TcamArray, row: int, col: int):
+    if not (0 <= row < array.rows and 0 <= col < array.cols):
+        raise UsageError(
+            f"cell ({row}, {col}) is outside the {array.rows}x{array.cols} array"
         )
 
 
@@ -159,35 +206,33 @@ def _check_write_inequality(array: TcamArray):
         )
 
 
-def _pulse(fs: FeSquidDevice, v: float):
-    drive_voltage(fs.fe, v)
-    drive_voltage(fs.fe, 0.0)
-
-
 def write_bit(array: TcamArray, row: int, col: int, value: int) -> TcamArray:
     """V/2 write of one bit.
 
     The selected cell's ferroelectrics see the full +/-V_WRITE (fs1
-    negative for a 1, fs2 the opposite); half-selected cells in the same
-    row or column see half that; everything else sees 0 V.
+    negative for a 1, fs2 the opposite) and half-selected cells in the
+    same row or column see half that, each pulse returning to 0 V.  Every
+    other cell sees 0 V, which leaves its 0 V-settled devices as they are,
+    so only the selected row and column are updated: a write costs
+    O(R + C).
     """
     if value not in (0, 1):
         raise UsageError(f"bit value must be 0 or 1, got {value!r}")
+    _check_address(array, row, col)
     _check_write_inequality(array)
+    maps = array._pulse_maps()
     v_w = array.bias.v_write
     v1 = -v_w if value == 1 else v_w
-    for r in range(array.rows):
-        for c in range(array.cols):
-            cell = array.cells[r][c]
-            if r == row and c == col:
-                _pulse(cell.fs1, v1)
-                _pulse(cell.fs2, -v1)
-            elif r == row or c == col:
-                _pulse(cell.fs1, 0.5 * v1)
-                _pulse(cell.fs2, -0.5 * v1)
-            else:
-                _pulse(cell.fs1, 0.0)
-                _pulse(cell.fs2, 0.0)
+    ids = array.ids
+    for cells, v in (
+        (ids[row, :col], 0.5 * v1),
+        (ids[row, col + 1 :], 0.5 * v1),
+        (ids[:row, col], 0.5 * v1),
+        (ids[row + 1 :, col], 0.5 * v1),
+        (ids[row, col : col + 1], v1),
+    ):
+        cells[:, 0] = maps[v][cells[:, 0]]
+        cells[:, 1] = maps[-v][cells[:, 1]]
     return array
 
 
@@ -232,14 +277,6 @@ def hd_bias_problem(i_rwl: float, window: tuple[float, float]) -> str | None:
     )
 
 
-def _count_matches(array: TcamArray, row: int, key: SearchKey) -> int:
-    return sum(
-        1
-        for c, t in enumerate(key.trits)
-        if t != "d" and int(t) == array.read_bit(row, c)
-    )
-
-
 def _search(array: TcamArray, key: SearchKey, hd: bool) -> list[MatchLineResult]:
     """Both modes' resistive row solve, a pure function of the stored
     states and the key.
@@ -248,8 +285,10 @@ def _search(array: TcamArray, key: SearchKey, hd: bool) -> list[MatchLineResult]
     branch is an r_gate resistor.  A branch whose gate stays off conducts
     through its FeSQUID: in exact mode at r_fs_exact above I_C (below it
     the ML is shorted), in HD mode at r_match or r_mismatch by stored
-    state.  Conductances add branch by branch in column order; this sum is
-    the reference the HD closed form is tested against.
+    state.  Each verdict is taken once per distinct device state, then
+    gathered per device.  Conductances add branch by branch in column
+    order (a sequential accumulate, not a pairwise sum); this sum is the
+    reference the HD closed form is tested against.
     """
     if len(key) != array.cols:
         raise UsageError(f"key length {len(key)} != array width {array.cols}")
@@ -268,28 +307,36 @@ def _search(array: TcamArray, key: SearchKey, hd: bool) -> list[MatchLineResult]
         i_g = bias.i_rbl_on if trit in drives else 0.0
         return drive_state(array.htron, i_g, 0.0) == RESISTIVE
 
-    # search 1 drives ht1, search 0 drives ht2, d drives both
-    gates = [(gated(t, "1d"), gated(t, "0d")) for t in key.trits]
-    g_gate = 1.0 / bias.r_gate
+    trits = np.frombuffer(key.trits.encode(), dtype=np.uint8)
+    gates = np.empty((array.cols, 2), dtype=bool)
+    for t in TRITS:
+        # search 1 drives ht1, search 0 drives ht2, d drives both
+        gates[trits == ord(t)] = (gated(t, "1d"), gated(t, "0d"))
+
+    remnants = np.array(array._remnants)
+    if hd:
+        shorts = np.zeros(remnants.size, dtype=bool)
+        g_state = np.where(remnants >= 0.0, 1.0 / bias.r_match, 1.0 / bias.r_mismatch)
+    else:
+        i_c = [critical_current_at(p, array.sc, array.t_op) for p in remnants]
+        shorts = ~(i_rwl > np.array(i_c))
+        g_state = np.where(shorts, 0.0, 1.0 / bias.r_fs_exact)
+    ids = array.ids
+    g = np.where(gates, 1.0 / bias.r_gate, g_state[ids])
+    g_rows = np.add.accumulate(g.reshape(array.rows, -1), axis=1)[:, -1]
+    shorted = (shorts[ids] & ~gates).any(axis=(1, 2))
+
+    stored = remnants[ids[:, :, 0]] < 0.0
+    matched = (stored == (trits == ord("1"))) & (trits != ord("d"))
+    n_matches = matched.sum(axis=1)
+
     total_i = array.cols * i_rwl
     results = []
-    for r, cells in enumerate(array.cells):
-        g_row = 0.0
-        shorted = False
-        for cell, pair in zip(cells, gates):
-            for fs, gated in zip((cell.fs1, cell.fs2), pair):
-                if gated:
-                    g_row += g_gate
-                elif hd:
-                    low_ic = remnant_fraction(fs.fe) >= 0.0
-                    g_row += 1.0 / (bias.r_match if low_ic else bias.r_mismatch)
-                elif i_rwl > critical_current(fs):
-                    g_row += 1.0 / bias.r_fs_exact
-                else:
-                    shorted = True
-        v_ml = 0.0 if shorted else total_i / g_row
+    for g_row, short, n_match in zip(
+        g_rows.tolist(), shorted.tolist(), n_matches.tolist()
+    ):
+        v_ml = 0.0 if short else total_i / g_row
         power = total_i * v_ml
-        n_match = _count_matches(array, r, key)
         results.append(MatchLineResult(v_ml, n_match, power, power * bias.t_search))
     return results
 

@@ -205,6 +205,22 @@ class TestCliDeviceAndFe:
         branches = {l.split(",")[2] for l in lines[1:]}
         assert branches == {"up", "down"}
 
+    @pytest.mark.parametrize("command", ["tcam_search", "device_iv"])
+    def test_positive_saturation_on_coarse_grid(self, command, tmp_path):
+        # at fe_grid_n=32 the saturated remnant sums to 1 + 2 ulp unclamped
+        if command == "tcam_search":
+            store = tmp_path / "store.txt"
+            store.write_text("0\n1\n")
+            args = ["tcam", "search", "--mode", "exact", "--store", str(store),
+                    "--keys", str(store)]
+            artifact = "tcam_search.csv"
+        else:
+            args = ["device", "iv", "--state", "low", "--points", "5"]
+            artifact = "device_iv.csv"
+        code, out = run_cli(["--set", "fe_grid_n=32", *args], tmp_path)
+        assert code == 0
+        assert (out / artifact).exists()
+
 
 class TestCliHdc:
     def test_train_then_infer(self, tmp_path):

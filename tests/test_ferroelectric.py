@@ -44,6 +44,12 @@ class TestSaturationAndRemnant:
         state = saturated(model, -1)
         assert remnant_fraction(state) < -0.99
 
+    def test_saturated_remnant_clamped_on_coarse_grid(self):
+        # the normalised weights of this grid sum to 1 + 2 ulp
+        coarse = PreisachModel(grid_n=32)
+        assert remnant_fraction(saturated(coarse, +1)) == 1.0
+        assert remnant_fraction(saturated(coarse, -1)) == -1.0
+
     def test_remnant_fraction_does_not_mutate(self, model):
         state = model.initial_state()
         apply_voltage(state, model.v_span)  # leave last_v above zero

@@ -6,9 +6,12 @@ import pickle
 import numpy as np
 import pytest
 
+from cryocam import tcam
 from cryocam.config import build_config
+from cryocam.device_physics import SuperconductorParams
 from cryocam.errors import ConfigError, DomainError, UnsupportedModeError, UsageError
-from cryocam.ferroelectric import remnant_fraction
+from cryocam.ferroelectric import PreisachModel, drive_voltage, remnant_fraction
+from cryocam.fesquid import critical_current_at
 from cryocam.htron import HtronDevice
 from cryocam.tcam import (
     BiasConfig,
@@ -42,17 +45,15 @@ class TestWriteScheme:
     def test_store_one_sets_opposite_remnants(self):
         array = TcamArray(1, 1)
         write_bit(array, 0, 0, 1)
-        cell = array.cells[0][0]
-        assert remnant_fraction(cell.fs1.fe) < 0.0  # high-I_C state
-        assert remnant_fraction(cell.fs2.fe) > 0.0
+        assert remnant_fraction(array.fe_state(0, 0, 1)) < 0.0  # high-I_C state
+        assert remnant_fraction(array.fe_state(0, 0, 2)) > 0.0
         assert array.read_bit(0, 0) == 1
 
     def test_store_zero_mirrors(self):
         array = TcamArray(1, 1)
         write_bit(array, 0, 0, 0)
-        cell = array.cells[0][0]
-        assert remnant_fraction(cell.fs1.fe) > 0.0
-        assert remnant_fraction(cell.fs2.fe) < 0.0
+        assert remnant_fraction(array.fe_state(0, 0, 1)) > 0.0
+        assert remnant_fraction(array.fe_state(0, 0, 2)) < 0.0
         assert array.read_bit(0, 0) == 0
 
     def test_single_write_changes_exactly_one_cell(self):
@@ -76,21 +77,22 @@ class TestWriteScheme:
         write_bit(a1, 0, 0, 1)
         a2 = TcamArray(1, 1)
         write_bit(a2, 0, 0, 1)
-        c1, c2 = a1.cells[0][0], a2.cells[0][0]
-        assert np.array_equal(c1.fs1.fe.relay_up, c2.fs1.fe.relay_up)
-        assert np.array_equal(c1.fs2.fe.relay_up, c2.fs2.fe.relay_up)
+        for branch in (1, 2):
+            assert np.array_equal(
+                a1.fe_state(0, 0, branch).relay_up, a2.fe_state(0, 0, branch).relay_up
+            )
 
     def test_store_word_idempotent(self):
         a1 = TcamArray(2, 4)
         store_word(a1, 0, "1011")
         snapshot = [
-            (c.fs1.fe.relay_up.copy(), c.fs2.fe.relay_up.copy())
-            for c in a1.cells[0]
+            (a1.fe_state(0, c, 1).relay_up, a1.fe_state(0, c, 2).relay_up)
+            for c in range(4)
         ]
         store_word(a1, 0, "1011")
-        for cell, (up1, up2) in zip(a1.cells[0], snapshot):
-            assert np.array_equal(cell.fs1.fe.relay_up, up1)
-            assert np.array_equal(cell.fs2.fe.relay_up, up2)
+        for c, (up1, up2) in enumerate(snapshot):
+            assert np.array_equal(a1.fe_state(0, c, 1).relay_up, up1)
+            assert np.array_equal(a1.fe_state(0, c, 2).relay_up, up2)
 
     def test_store_leaves_other_rows_readable(self):
         array = TcamArray(3, 4)
@@ -116,6 +118,53 @@ class TestWriteScheme:
             store_word(array, 0, "011")
         with pytest.raises(UsageError):
             store_word(array, 0, "0d")
+
+    @pytest.mark.parametrize("row,col", [(5, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_address_outside_array_rejected_before_mutation(self, row, col):
+        array = TcamArray(2, 2)
+        store_word(array, 0, "10")
+        before = pickle.dumps(array)
+        with pytest.raises(UsageError, match="outside"):
+            write_bit(array, row, col, 1)
+        if not 0 <= row < 2:
+            with pytest.raises(UsageError, match="outside"):
+                store_word(array, row, "11")
+        assert pickle.dumps(array) == before
+
+    def test_fe_state_is_a_clone(self):
+        array = TcamArray(2, 2)
+        store_word(array, 0, "10")
+        store_word(array, 1, "10")
+        drive_voltage(array.fe_state(0, 0, 1), array.fe_model.v_span)
+        for row in (0, 1):  # (1, 0) shares its state with (0, 0)
+            assert remnant_fraction(array.fe_state(row, 0, 1)) < 0.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"t_op": 0.0}, {"bias": BiasConfig(r_match=0.0)},
+         {"bias": BiasConfig(r_mismatch=-1.0)}],
+    )
+    def test_device_parameters_validated(self, kwargs):
+        with pytest.raises(DomainError):
+            TcamArray(1, 1, **kwargs)
+
+    def test_write_cost_is_linear_in_rows_plus_columns(self, monkeypatch):
+        rows, cols = 16, 32
+        rng = np.random.default_rng(11)
+        words = ["".join(map(str, rng.integers(0, 2, cols))) for _ in range(rows + 1)]
+        array = TcamArray(rows, cols)
+        for r in range(rows):
+            store_word(array, r, words[r])
+        calls = []
+
+        def counting_drive(state, v):
+            calls.append(v)
+            return drive_voltage(state, v)
+
+        monkeypatch.setattr(tcam, "drive_voltage", counting_drive)
+        store_word(array, 3, words[rows])
+        assert len(calls) <= 4 * (rows + cols) * cols
+        assert array.read_word(3) == words[rows]
 
 
 class TestExactSearch:
@@ -383,3 +432,109 @@ class TestSearchKeyAndTiming:
     def test_search_time_is_one_switching_depth(self):
         array = TcamArray(1, 8)
         assert array.bias.t_search == array.htron.t_switch
+
+
+class _ReferenceArray:
+    """The one-object-per-device model the array is checked against: one
+    Preisach state per ferroelectric, every write pulsing every device,
+    and a search summing branch conductances one at a time in column
+    order."""
+
+    def __init__(self, rows, cols, bias):
+        self.model = PreisachModel()
+        self.sc = SuperconductorParams()
+        self.bias = bias
+        self.fe = [
+            [[self.model.initial_state(), self.model.initial_state()] for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+    def write_bit(self, row, col, value):
+        v_w = self.bias.v_write
+        v1 = -v_w if value == 1 else v_w
+        for r, cells in enumerate(self.fe):
+            for c, (fs1, fs2) in enumerate(cells):
+                if r == row and c == col:
+                    v = v1
+                elif r == row or c == col:
+                    v = 0.5 * v1
+                else:
+                    v = 0.0
+                for fe, pulse in ((fs1, v), (fs2, -v)):
+                    drive_voltage(fe, pulse)
+                    drive_voltage(fe, 0.0)
+
+    def search(self, trits, hd):
+        bias = self.bias
+        i_rwl = bias.i_rwl_hd if hd else bias.i_rwl_exact
+        total_i = len(trits) * i_rwl
+        results = []
+        for cells in self.fe:
+            g_row, shorted, n_match = 0.0, False, 0
+            for t, (fs1, fs2) in zip(trits, cells):
+                stored = 1 if remnant_fraction(fs1) < 0.0 else 0
+                n_match += t != "d" and int(t) == stored
+                for fe, driven in ((fs1, t in "1d"), (fs2, t in "0d")):
+                    p = remnant_fraction(fe)
+                    if driven:
+                        g_row += 1.0 / bias.r_gate
+                    elif hd:
+                        g_row += 1.0 / (bias.r_match if p >= 0.0 else bias.r_mismatch)
+                    elif i_rwl > critical_current_at(p, self.sc, 4.0):
+                        g_row += 1.0 / bias.r_fs_exact
+                    else:
+                        shorted = True
+            v_ml = 0.0 if shorted else total_i / g_row
+            power = total_i * v_ml
+            results.append(
+                tcam.MatchLineResult(v_ml, n_match, power, power * bias.t_search)
+            )
+        return results
+
+
+class TestAgainstReferenceModel:
+    @pytest.mark.parametrize("v_write", [2.0, 1.5])
+    def test_seeded_stream_matches_per_device_model(self, v_write):
+        # 2.0 V saturates; 1.5 V stays below v_span and walks minor loops
+        rows, cols = 4, 24  # 48 branches per row: a pairwise sum would differ
+        bias = BiasConfig(v_write=v_write)
+        array = TcamArray(rows, cols, bias=bias)
+        ref = _ReferenceArray(rows, cols, bias)
+        rng = np.random.default_rng(2024)
+
+        def word():
+            return "".join(map(str, rng.integers(0, 2, cols)))
+
+        def key(ternary):
+            stored = array.read_word(int(rng.integers(rows)))
+            flips = rng.random(cols) < 0.1
+            cares = rng.random(cols) >= (0.2 if ternary else 0.0)
+            return "".join(
+                ("10"[int(b)] if f else b) if c else "d"
+                for b, f, c in zip(stored, flips, cares)
+            )
+
+        ops = ["fill"] * rows + list(rng.choice(["word", "bit", "exact", "hd"], 40))
+        for i, op in enumerate(ops):
+            if op in ("fill", "word"):
+                row = i if op == "fill" else int(rng.integers(rows))
+                bits = word()
+                store_word(array, row, bits)
+                for c, b in enumerate(bits):
+                    ref.write_bit(row, c, int(b))
+            elif op == "bit":
+                row, col, value = (int(x) for x in rng.integers(0, [rows, cols, 2]))
+                write_bit(array, row, col, value)
+                ref.write_bit(row, col, value)
+            else:
+                k = key(ternary=op == "exact")
+                search = search_hd if op == "hd" else search_exact
+                got = search(array, SearchKey(k))
+                assert repr(got) == repr(ref.search(k, hd=op == "hd"))
+            for r in range(rows):
+                for c in range(cols):
+                    for branch in (1, 2):
+                        fe = array.fe_state(r, c, branch)
+                        want = ref.fe[r][c][branch - 1]
+                        assert np.array_equal(fe.relay_up, want.relay_up)
+                        assert fe.last_v == want.last_v
