@@ -193,6 +193,14 @@ def validate_values(values: dict) -> list[str]:
         problems.append(f"fe_grid_n must be >= 16, got {v['fe_grid_n']}")
     if v["rcsj_n_steps"] < 1000:
         problems.append(f"rcsj_n_steps must be >= 1000, got {v['rcsj_n_steps']}")
+    if v["rcsj_settle_periods"] < 1:
+        problems.append(
+            f"rcsj_settle_periods must be >= 1, got {v['rcsj_settle_periods']}"
+        )
+    if v["rcsj_average_periods"] < 2:
+        problems.append(
+            f"rcsj_average_periods must be >= 2, got {v['rcsj_average_periods']}"
+        )
     if v["hdc_d_bits"] < 8:
         problems.append(f"hdc_d_bits must be >= 8, got {v['hdc_d_bits']}")
     if v["hdc_block_size"] < 1:

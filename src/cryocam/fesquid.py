@@ -121,64 +121,59 @@ _WINDOW_RTOL = 1e-3
 _LOCKED_ATOL = 1e-6
 
 
-def _rk4_step(phi, u, i, beta_c, h):
-    """One fixed RK4 step of the phase equation.
+def _same_sign(a, b):
+    return math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _advance(phi, u, i, beta_c, h, max_steps, target=math.inf):
+    """Advance (phi, u) by up to ``max_steps`` fixed RK4 steps of the phase
+    equation; returns (phi, u, theta, crossed).
 
     beta_c == 0 integrates the first-order overdamped equation
-    phi' = i - sin(phi); otherwise the full second-order system.
+    phi' = i - sin(phi), carrying ``u`` through unused; otherwise the full
+    second-order system.  The loop ends early when ``phi`` crosses
+    ``target`` (theta is then the crossing time, linearly interpolated
+    within the final step; ending averaging windows on whole phase cycles
+    removes the fractional-cycle residual that would otherwise dominate
+    the window means), or when a step returns its input bit for bit: a
+    phase-locked state at its floating-point fixed point, which every
+    remaining step would return again.  theta is meaningful only when
+    crossed.
     """
     sin = math.sin
     h2, h6 = 0.5 * h, h / 6.0
-    if beta_c == 0.0:
-        k1 = i - sin(phi)
-        k2 = i - sin(phi + h2 * k1)
-        k3 = i - sin(phi + h2 * k2)
-        k4 = i - sin(phi + h * k3)
-        return phi + h6 * (k1 + 2.0 * (k2 + k3) + k4), 0.0
-    inv_b = 1.0 / beta_c
-    k1p = u
-    k1u = (i - sin(phi) - u) * inv_b
-    p2 = phi + h2 * k1p
-    u2 = u + h2 * k1u
-    k2p = u2
-    k2u = (i - sin(p2) - u2) * inv_b
-    p3 = phi + h2 * k2p
-    u3 = u + h2 * k2u
-    k3p = u3
-    k3u = (i - sin(p3) - u3) * inv_b
-    p4 = phi + h * k3p
-    u4 = u + h * k3u
-    k4p = u4
-    k4u = (i - sin(p4) - u4) * inv_b
-    return (
-        phi + h6 * (k1p + 2.0 * (k2p + k3p) + k4p),
-        u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u),
-    )
-
-
-def _integrate_window(phi, u, i, beta_c, h, n_steps):
-    """Advance (phi, u) by n_steps of fixed-step RK4; returns final state."""
-    for _ in range(n_steps):
-        phi, u = _rk4_step(phi, u, i, beta_c, h)
-    return phi, u
-
-
-def _integrate_to_phase(phi, u, i, beta_c, h, target, max_steps):
-    """Step until ``phi`` crosses ``target``; the crossing time within the
-    final step is linearly interpolated.
-
-    Returns (phi, u, theta_at_crossing, crossed).  Ending averaging
-    windows exactly on whole phase cycles removes the fractional-cycle
-    residual that would otherwise dominate the window means.
-    """
     theta = 0.0
+    if beta_c == 0.0:
+        for _ in range(max_steps):
+            k1 = i - sin(phi)
+            k2 = i - sin(phi + h2 * k1)
+            k3 = i - sin(phi + h2 * k2)
+            k4 = i - sin(phi + h * k3)
+            p = phi + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+            theta += h
+            if p >= target:
+                return p, u, theta - h + (target - phi) / (p - phi) * h, True
+            if p == phi and _same_sign(p, phi):
+                break
+            phi = p
+        return phi, u, theta, False
+    inv_b = 1.0 / beta_c
     for _ in range(max_steps):
-        prev = phi
-        phi, u = _rk4_step(phi, u, i, beta_c, h)
+        k1u = (i - sin(phi) - u) * inv_b
+        u2 = u + h2 * k1u
+        k2u = (i - sin(phi + h2 * u) - u2) * inv_b
+        u3 = u + h2 * k2u
+        k3u = (i - sin(phi + h2 * u2) - u3) * inv_b
+        u4 = u + h * k3u
+        k4u = (i - sin(phi + h * u3) - u4) * inv_b
+        p = phi + h6 * (u + 2.0 * (u2 + u3) + u4)
+        v = u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u)
         theta += h
-        if phi >= target:
-            frac = (target - prev) / (phi - prev)
-            return phi, u, theta - h + frac * h, True
+        if p >= target:
+            return p, v, theta - h + (target - phi) / (p - phi) * h, True
+        if p == phi and v == u and _same_sign(p, phi) and _same_sign(v, u):
+            break
+        phi, u = p, v
     return phi, u, theta, False
 
 
@@ -189,7 +184,10 @@ def simulate_rcsj_iv(dev: FeSquidDevice, i_points, params: RcsjParams) -> IvCurv
     = i/I_C with time in units of Phi_0/(2 pi I_C R_N), then converts
     <phi'> back to volts via V = I_C R_N <phi'>.  The final state of each
     bias point seeds the next, so ascending-then-descending ``i_points``
-    trace hysteretic branches at large beta_c.
+    trace hysteretic branches at large beta_c.  Every window (settle,
+    pilot and both averaging windows) stops early once a step returns its
+    input bit for bit, so phase-locked points cost little and the result
+    is the same as running every step.
     """
     i_points = np.asarray(i_points, dtype=float)
     if i_points.size == 0:
@@ -212,14 +210,14 @@ def simulate_rcsj_iv(dev: FeSquidDevice, i_points, params: RcsjParams) -> IvCurv
         omega_est = math.sqrt(max(i * i - 1.0, 0.0625))
         h = (2.0 * math.pi / omega_est) / params.n_steps
 
-        phi, u = _integrate_window(
+        phi, u, _, _ = _advance(
             phi, u, i, params.beta_c, h, params.n_steps * params.settle_periods
         )
         # Pilot window measures the actual phase velocity; the averaging
         # windows then span whole oscillation cycles each.
         pilot_steps = params.n_steps * half_avg
         phi0 = phi
-        phi, u = _integrate_window(phi, u, i, params.beta_c, h, pilot_steps)
+        phi, u, _, _ = _advance(phi, u, i, params.beta_c, h, pilot_steps)
         omega_meas = (phi - phi0) / (h * pilot_steps)
         if abs(omega_meas) < _LOCKED_ATOL:
             v_avg[k] = 0.0
@@ -229,8 +227,8 @@ def simulate_rcsj_iv(dev: FeSquidDevice, i_points, params: RcsjParams) -> IvCurv
         means = []
         for _ in range(2):
             target = phi + cycles * 2.0 * math.pi
-            phi, u, theta, crossed = _integrate_to_phase(
-                phi, u, i, params.beta_c, h, target, max_steps
+            phi, u, theta, crossed = _advance(
+                phi, u, i, params.beta_c, h, max_steps, target
             )
             if not crossed:
                 raise NumericError(

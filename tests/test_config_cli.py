@@ -358,6 +358,43 @@ class TestCliErrors:
         assert error_payload(capsys)["error_category"] == "validation"
         assert not (out / "device_iv.csv").exists()
 
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("rcsj_settle_periods", "0", "rcsj_settle_periods must be >= 1, got 0"),
+            ("rcsj_average_periods", "1", "rcsj_average_periods must be >= 2, got 1"),
+        ],
+        ids=["settle", "average"],
+    )
+    @pytest.mark.parametrize("model", ["behavioral", "rcsj"])
+    def test_rcsj_period_counts_validated(
+        self, key, value, message, model, tmp_path, capsys
+    ):
+        code, out = run_cli(
+            ["--set", f"{key}={value}", "device", "iv", "--model", model,
+             "--points", "2"],
+            tmp_path,
+        )
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        assert message in payload["messages"]
+        assert not out.exists()
+
+    def test_unconverged_rcsj_exits_4(self, tmp_path, capsys):
+        code, _ = run_cli(
+            ["--set", "rcsj_beta_c=25", "--set", "rcsj_settle_periods=1",
+             "--set", "rcsj_average_periods=2", "device", "iv", "--model",
+             "rcsj", "--state", "high", "--i-max-uA", "6.7", "--points", "2"],
+            tmp_path,
+        )
+        assert code == 4
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "numeric"
+        (message,) = payload["messages"]
+        assert "window means" in message
+        assert "relative change 0.353 > 0.001" in message
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("CRYOCAM_OUT", str(target))

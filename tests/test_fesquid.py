@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from cryocam import fesquid
 from cryocam.device_physics import SuperconductorParams
-from cryocam.errors import DomainError
+from cryocam.errors import DomainError, NumericError
 from cryocam.fesquid import (
     FeSquidDevice,
     RcsjParams,
@@ -169,3 +170,122 @@ class TestParamsValidation:
             FeSquidDevice(fe=state, sc=SuperconductorParams(), t_op=0.0)
         with pytest.raises(DomainError):
             FeSquidDevice(fe=state, sc=SuperconductorParams(), r_low_state=0.0)
+
+
+def _rk4_step_ref(phi, u, i, beta_c, h):
+    """One fixed RK4 step of the phase equation, written as a plain
+    scalar function (the reference for the inlined loop)."""
+    sin = math.sin
+    h2, h6 = 0.5 * h, h / 6.0
+    if beta_c == 0.0:
+        k1 = i - sin(phi)
+        k2 = i - sin(phi + h2 * k1)
+        k3 = i - sin(phi + h2 * k2)
+        k4 = i - sin(phi + h * k3)
+        return phi + h6 * (k1 + 2.0 * (k2 + k3) + k4), 0.0
+    inv_b = 1.0 / beta_c
+    k1p = u
+    k1u = (i - sin(phi) - u) * inv_b
+    p2 = phi + h2 * k1p
+    u2 = u + h2 * k1u
+    k2p = u2
+    k2u = (i - sin(p2) - u2) * inv_b
+    p3 = phi + h2 * k2p
+    u3 = u + h2 * k2u
+    k3p = u3
+    k3u = (i - sin(p3) - u3) * inv_b
+    p4 = phi + h * k3p
+    u4 = u + h * k3u
+    k4p = u4
+    k4u = (i - sin(p4) - u4) * inv_b
+    return (
+        phi + h6 * (k1p + 2.0 * (k2p + k3p) + k4p),
+        u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u),
+    )
+
+
+def _advance_ref(phi, u, i, beta_c, h, max_steps, target=math.inf):
+    """Every step of the budget, with no fixed-point exit; same crossing
+    interpolation as the solver."""
+    theta = 0.0
+    for _ in range(max_steps):
+        prev = phi
+        phi, u = _rk4_step_ref(phi, u, i, beta_c, h)
+        theta += h
+        if phi >= target:
+            frac = (target - prev) / (phi - prev)
+            return phi, u, theta - h + frac * h, True
+    return phi, u, theta, False
+
+
+def _outcome(dev, i_points, params):
+    """Bit patterns of the I-V voltages, or the convergence error text."""
+    try:
+        return [v.hex() for v in simulate_rcsj_iv(dev, i_points, params).v_avg]
+    except NumericError as exc:
+        return str(exc)
+
+
+class TestRcsjFixedPointExit:
+    @pytest.mark.parametrize("periods", [(1, 2), (5, 10)], ids=["1-2", "5-10"])
+    @pytest.mark.parametrize(
+        "sweep", [[0.0, 0.5, 1.3], [1.6, 0.6, 1.2]], ids=["up", "down"]
+    )
+    @pytest.mark.parametrize("beta_c", [0.0, 0.1, 25.0])
+    @pytest.mark.parametrize("sign", [-1, +1], ids=["high", "low"])
+    def test_matches_every_step_reference(
+        self, fe_model, monkeypatch, sign, beta_c, sweep, periods
+    ):
+        dev = make_device(fe_model, sign)
+        i_c = critical_current(dev)
+        i_points = [x * i_c for x in sweep]
+        params = RcsjParams(
+            beta_c=beta_c, settle_periods=periods[0], average_periods=periods[1]
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(fesquid, "_advance", _advance_ref)
+            expected = _outcome(dev, i_points, params)
+        assert _outcome(dev, i_points, params) == expected
+
+    @pytest.mark.parametrize(
+        ("phi", "u", "beta_c"),
+        [(0.0, -0.0, 0.1), (-0.0, 0.0, 0.1), (-0.0, 0.0, 0.0)],
+    )
+    def test_signed_zero_is_not_a_fixed_point(self, phi, u, beta_c):
+        # at i = 0 the first step turns a -0.0 into +0.0: equal as floats,
+        # but not the same state, so the loop must take the next step too
+        got = fesquid._advance(phi, u, 0.0, beta_c, 1e-3, 10)
+        ref = _advance_ref(phi, u, 0.0, beta_c, 1e-3, 10)
+        assert [x.hex() for x in got[:2]] == [x.hex() for x in ref[:2]]
+
+    def test_locked_points_stop_early(self, fe_model, monkeypatch):
+        dev = make_device(fe_model, -1)
+        i_c = critical_current(dev)
+        calls = 0
+        real_sin = math.sin
+
+        def counting_sin(x):
+            nonlocal calls
+            calls += 1
+            return real_sin(x)
+
+        monkeypatch.setattr(math, "sin", counting_sin)
+        params = RcsjParams()
+        curve = simulate_rcsj_iv(dev, [0.0, 0.5 * i_c], params)
+        assert list(curve.v_avg) == [0.0, 0.0]
+        every_step = (
+            4 * 2 * params.n_steps
+            * (params.settle_periods + params.average_periods // 2)
+        )
+        assert calls < 0.05 * every_step
+
+    def test_unconverged_phase_reports_cycles(self, fe_model):
+        # at beta_c = 25 a locked point still rings after one settle period,
+        # so the pilot reads it as running and the window never closes
+        dev = make_device(fe_model, -1)
+        i_c = critical_current(dev)
+        params = RcsjParams(beta_c=25.0, settle_periods=1, average_periods=2)
+        with pytest.raises(
+            NumericError, match=r"phase advanced only -0\.0275 of 1 cycles"
+        ):
+            simulate_rcsj_iv(dev, [0.5 * i_c], params)
