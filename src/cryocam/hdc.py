@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, UsageError
 from .tcam import (
@@ -26,6 +27,9 @@ from .tcam import (
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 OTHER_SYMBOL = "\x00"  # bucket for anything outside the alphabet
+_SYMBOLS = ALPHABET + OTHER_SYMBOL
+_SYMBOL_IDS = {sym: i for i, sym in enumerate(_SYMBOLS)}
+_OTHER_ID = _SYMBOL_IDS[OTHER_SYMBOL]
 
 #: Fixed SRAM-TCAM reference energy per 10,000-bit comparison at block
 #: size 10, used only as a report column.
@@ -47,8 +51,7 @@ class ItemMemory:
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
         self.vectors = {
-            sym: rng.integers(0, 2, size=self.d, dtype=np.uint8)
-            for sym in ALPHABET + OTHER_SYMBOL
+            sym: rng.integers(0, 2, size=self.d, dtype=np.uint8) for sym in _SYMBOLS
         }
         self.tie_break = rng.integers(0, 2, size=self.d, dtype=np.uint8)
 
@@ -59,8 +62,11 @@ class ItemMemory:
 def majority_bundle(vectors: np.ndarray, tie_break: np.ndarray) -> np.ndarray:
     """Bitwise majority over rows; exact ties take the tie-break bit."""
     vectors = np.atleast_2d(vectors)
-    n = vectors.shape[0]
-    counts = vectors.sum(axis=0, dtype=np.int64)
+    return _majority(vectors.sum(axis=0, dtype=np.int64), vectors.shape[0], tie_break)
+
+
+def _majority(counts: np.ndarray, n: int, tie_break: np.ndarray) -> np.ndarray:
+    """Majority bits from per-bit counts of ones over ``n`` bundled rows."""
     out = (2 * counts > n).astype(np.uint8)
     tie = 2 * counts == n
     out[tie] = tie_break[tie]
@@ -72,20 +78,33 @@ def encode_text(text: str, item: ItemMemory, n_gram: int) -> np.ndarray:
 
     Each n-gram XORs its rotated letter vectors; all n-gram vectors are
     majority-bundled.  Symbols outside the alphabet map to a designated
-    bucket symbol.
+    bucket symbol.  The text is lowercased first, and its n-grams are
+    counted on the lowercased text.
+
+    Each distinct n-gram is bound once, from rows of the symbol table
+    rolled by the n-gram offset, and the bundle adds each bound vector
+    weighted by its number of occurrences.  The per-bit counts are the
+    same integers as for one bound row per n-gram position, so the bits
+    are too.
     """
     if n_gram < 1:
         raise DomainError(f"n_gram must be >= 1, got {n_gram}")
+    text = text.lower()
     if len(text) < n_gram:
         raise UsageError(
             f"text length {len(text)} is shorter than n_gram {n_gram}"
         )
-    letters = np.stack([item.vector(ch) for ch in text.lower()])
-    n_grams = len(text) - n_gram + 1
-    bound = np.roll(letters[0:n_grams], 0, axis=1)
+    ids = np.array([_SYMBOL_IDS.get(ch, _OTHER_ID) for ch in text], dtype=np.uint8)
+    windows = sliding_window_view(ids, n_gram)
+    grams, counts = np.unique(windows, axis=0, return_counts=True)
+    table = np.stack([item.vectors[sym] for sym in _SYMBOLS])
+    bound = table[grams[:, 0]]
     for k in range(1, n_gram):
-        bound = bound ^ np.roll(letters[k : k + n_grams], k, axis=1)
-    return majority_bundle(bound, item.tie_break)
+        bound ^= np.roll(table, k, axis=1)[grams[:, k]]
+    ones = np.zeros(item.d, dtype=np.int64)
+    for w in np.unique(counts).tolist():
+        ones += w * np.add.reduce(bound[counts == w], axis=0, dtype=np.int64)
+    return _majority(ones, len(windows), item.tie_break)
 
 
 @dataclass(frozen=True)
@@ -157,13 +176,6 @@ class BlockPlan:
             raise DomainError(f"block_size must be >= 1, got {self.block_size}")
 
 
-def _pad_to_blocks(v: np.ndarray, block_size: int) -> np.ndarray:
-    rem = v.size % block_size
-    if rem == 0:
-        return v
-    return np.concatenate([v, np.zeros(block_size - rem, dtype=v.dtype)])
-
-
 def infer_tcam(
     model: HdcModel, query: np.ndarray, plan: BlockPlan
 ) -> tuple[str, dict, dict]:
@@ -173,31 +185,42 @@ def infer_tcam(
     voltage, the voltage is decoded back to a matched-bit count, and the
     decoded counts accumulate into per-class Hamming distances.  Returns
     (label, per-class HD, per-class energy in J).
+
+    The per-block matched counts of all classes come from one array
+    comparison.  The closed form, its inverse and the search energy are
+    evaluated once per distinct count and gathered; each class's block
+    energies add in block order, so every value equals the block-by-block
+    scalar evaluation to the last bit.
     """
     if query.shape != (model.d,):
         raise UsageError(f"query has shape {query.shape}, expected ({model.d},)")
+    for label in model.labels:
+        shape = model.class_vectors[label].shape
+        if shape != (model.d,):
+            raise UsageError(
+                f"class {label!r} has shape {shape}, expected ({model.d},)"
+            )
     block, bias = plan.block_size, plan.bias
     i_rwl, t_search = bias.i_rwl_hd, bias.t_search
-    q = _pad_to_blocks(query, block)
-    n_blocks = q.size // block
-    distances = {}
-    energies = {}
-    for label in model.labels:
-        row = _pad_to_blocks(model.class_vectors[label], block)
-        hd = 0
-        energy = 0.0
-        for b in range(n_blocks):
-            lo = b * block
-            hi = lo + block
-            n_match = block - hamming(row[lo:hi], q[lo:hi])
-            v_ml = ml_voltage_closed_form(block, n_match, i_rwl, bias)
-            decoded = invert_ml_voltage_closed_form(v_ml, block, i_rwl, bias)
-            hd += block - decoded
-            energy += search_energy(v_ml, block, i_rwl, t_search)
-        distances[label] = hd
-        energies[label] = energy
-    best = min(model.labels, key=lambda lb: (distances[lb], model.labels.index(lb)))
-    return best, distances, energies
+    rows = np.stack([model.class_vectors[label] for label in model.labels])
+    # padding bits compare equal, so they pad the mismatch matrix as False
+    mismatched = np.pad(rows != query, ((0, 0), (0, -model.d % block)))
+    matches = block - mismatched.reshape(len(rows), -1, block).sum(axis=2)
+    # tables indexed by matched count, filled only where a count occurs
+    decoded = np.zeros(block + 1, dtype=np.int64)
+    energy = np.zeros(block + 1)
+    for m in np.flatnonzero(np.bincount(matches.ravel())).tolist():
+        v_ml = ml_voltage_closed_form(block, m, i_rwl, bias)
+        decoded[m] = invert_ml_voltage_closed_form(v_ml, block, i_rwl, bias)
+        energy[m] = search_energy(v_ml, block, i_rwl, t_search)
+    hd = (block - decoded[matches]).sum(axis=1)
+    energies = np.add.accumulate(energy[matches], axis=1)[:, -1]
+    best = model.labels[int(np.argmin(hd))]
+    return (
+        best,
+        dict(zip(model.labels, hd.tolist())),
+        dict(zip(model.labels, energies.tolist())),
+    )
 
 
 def accuracy_eval(
@@ -336,8 +359,13 @@ def save_model(model: HdcModel, path):
 
 
 def load_model(path) -> HdcModel:
-    """Read a model written by ``save_model``; a file that is not valid
-    JSON or lacks a field raises UsageError."""
+    """Read a model written by ``save_model``.
+
+    A file that is not valid JSON, lacks a field, or holds a model that
+    inference cannot serve raises UsageError: labels must be non-empty
+    and unique, d >= 8, n_gram >= 1, and every class vector exactly d
+    bits.
+    """
     try:
         with open(path, encoding="utf-8") as f:
             payload = json.load(f)
@@ -351,20 +379,40 @@ def load_model(path) -> HdcModel:
         )
     try:
         d = int(payload["d"])
-        vectors = {}
-        for label in payload["labels"]:
-            raw = base64.b64decode(payload["class_vectors"][label])
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:d]
-            vectors[label] = bits.astype(np.uint8)
-        return HdcModel(
-            labels=tuple(payload["labels"]),
-            class_vectors=vectors,
-            d=d,
-            n_gram=int(payload["n_gram"]),
-            seed=int(payload["seed"]),
-        )
+        n_gram = int(payload["n_gram"])
+        seed = int(payload["seed"])
+        labels = tuple(payload["labels"])
+        packed = {
+            label: base64.b64decode(payload["class_vectors"][label])
+            for label in labels
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(
             f"{path}: malformed {MODEL_FORMAT} file: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
+    if d < 8:
+        raise UsageError(f"{path}: d must be >= 8, got {d}")
+    if n_gram < 1:
+        raise UsageError(f"{path}: n_gram must be >= 1, got {n_gram}")
+    if not labels:
+        raise UsageError(f"{path}: model has no labels")
+    if len(packed) != len(labels):
+        duplicates = sorted({lb for lb in labels if labels.count(lb) > 1})
+        raise UsageError(f"{path}: duplicate labels {duplicates}")
+    for label, raw in packed.items():
+        if len(raw) != (d + 7) // 8:
+            raise UsageError(
+                f"{path}: class {label!r} stores {8 * len(raw)} bits, "
+                f"expected {d} packed into {(d + 7) // 8} bytes"
+            )
+    return HdcModel(
+        labels=labels,
+        class_vectors={
+            label: np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=d)
+            for label, raw in packed.items()
+        },
+        d=d,
+        n_gram=n_gram,
+        seed=seed,
+    )

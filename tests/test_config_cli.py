@@ -334,6 +334,22 @@ class TestCliErrors:
         assert code == 3
         assert error_payload(capsys)["error_category"] == "validation"
 
+    @pytest.mark.parametrize("engine", ["tcam", "exact"])
+    def test_model_without_labels_exits_3(
+        self, engine, model_and_text, tmp_path, capsys
+    ):
+        model, text = model_and_text
+        payload = json.loads(model.read_text())
+        payload.update(labels=[], class_vectors={})
+        model.write_text(json.dumps(payload))
+        code, _ = run_cli(
+            ["hdc", "infer", "--model", str(model), "--text", str(text),
+             "--engine", engine],
+            tmp_path,
+        )
+        assert code == 3
+        assert error_payload(capsys)["messages"] == [f"{model}: model has no labels"]
+
     def test_non_utf8_text_exits_3(self, model_and_text, tmp_path, capsys):
         model, text = model_and_text
         text.write_bytes(b"caf\xe9 au lait")

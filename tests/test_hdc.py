@@ -1,7 +1,12 @@
 """HDC encoding, training, TCAM-backed inference, energy rollup."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from cryocam import hdc
 
 from cryocam.config import build_config
 from cryocam.errors import DomainError, UsageError
@@ -26,6 +31,7 @@ from cryocam.tcam import (
     TcamArray,
     invert_ml_voltage_closed_form,
     ml_voltage_closed_form,
+    search_energy,
     search_hd,
     store_word,
 )
@@ -351,3 +357,156 @@ class TestSyntheticCorpus:
         a = synthetic_corpus(1, 1, 300, seed=1)
         b = synthetic_corpus(1, 1, 300, seed=2)
         assert a["lang00"][0] != b["lang00"][0]
+
+
+def _encode_text_ref(text, item, n_gram):
+    """Scalar reference: one rolled and XORed row per n-gram position of
+    the lowercased text, majority-bundled."""
+    letters = np.stack([item.vector(ch) for ch in text.lower()])
+    n_grams = len(letters) - n_gram + 1
+    bound = np.roll(letters[0:n_grams], 0, axis=1)
+    for k in range(1, n_gram):
+        bound = bound ^ np.roll(letters[k : k + n_grams], k, axis=1)
+    return majority_bundle(bound, item.tie_break)
+
+
+def _infer_tcam_ref(model, query, plan):
+    """Scalar reference: the closed form, its inverse and the energy once
+    per (class, block), with each class's energy summed block by block."""
+    block, bias = plan.block_size, plan.bias
+    pad = np.zeros(-model.d % block, dtype=np.uint8)
+    q = np.concatenate([query, pad])
+    distances = {}
+    energies = {}
+    for label in model.labels:
+        row = np.concatenate([model.class_vectors[label], pad])
+        hd = 0
+        energy = 0.0
+        for lo in range(0, q.size, block):
+            n_match = block - hamming(row[lo : lo + block], q[lo : lo + block])
+            v_ml = ml_voltage_closed_form(block, n_match, bias.i_rwl_hd, bias)
+            decoded = invert_ml_voltage_closed_form(v_ml, block, bias.i_rwl_hd, bias)
+            hd += block - decoded
+            energy += search_energy(v_ml, block, bias.i_rwl_hd, bias.t_search)
+        distances[label] = hd
+        energies[label] = energy
+    best = min(model.labels, key=lambda lb: (distances[lb], model.labels.index(lb)))
+    return best, distances, energies
+
+
+def _seeded_text(rng, length):
+    """Mixed-case text with symbols outside the alphabet."""
+    symbols = list("abcdefghijklmnopqrstuvwxyz   ABCXYZ.,;!?0123456789\n\téÉßø")
+    return "".join(rng.choice(symbols, size=length))
+
+
+class TestAgainstScalarReference:
+    @pytest.mark.parametrize("n_gram", [1, 2, 3, 5, 20])
+    def test_encoding_equals_rolled_rows(self, n_gram, corpus):
+        item = ItemMemory(D, SEED)
+        rng = np.random.default_rng([11, n_gram])
+        texts = [_seeded_text(rng, n) for n in (n_gram, n_gram + 1, 64, 700)]
+        texts.append(corpus["lang02"][3])
+        for text in texts:
+            assert np.array_equal(
+                encode_text(text, item, n_gram), _encode_text_ref(text, item, n_gram)
+            )
+
+    @pytest.mark.parametrize("block", [1, 7, 10, 100, 333, D])
+    def test_inference_equals_block_loop(self, block, model, corpus):
+        item = model.item_memory()
+        rng = np.random.default_rng([12, block])
+        queries = [encode_text(texts[20], item, 3) for texts in corpus.values()]
+        queries.append(rng.integers(0, 2, size=D, dtype=np.uint8))
+        queries.append(model.class_vectors[model.labels[2]])
+        plan = BlockPlan(block_size=block)
+        for q in queries:
+            assert repr(infer_tcam(model, q, plan)) == repr(
+                _infer_tcam_ref(model, q, plan)
+            )
+
+    def test_closed_form_called_once_per_distinct_count(self, monkeypatch):
+        d, block = 10000, 10
+        rng = np.random.default_rng(13)
+        labels = tuple(f"lang{i:02d}" for i in range(21))
+        m = HdcModel(
+            labels=labels,
+            class_vectors={lb: rng.integers(0, 2, d, dtype=np.uint8) for lb in labels},
+            d=d,
+            n_gram=3,
+            seed=0,
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return ml_voltage_closed_form(*args)
+
+        monkeypatch.setattr(hdc, "ml_voltage_closed_form", counted)
+        q = rng.integers(0, 2, d, dtype=np.uint8)
+        _, distances, _ = infer_tcam(m, q, BlockPlan(block_size=block))
+        assert len(calls) <= block + 1
+        assert len(set(calls)) == len(calls)
+        assert distances == infer_exact(m, q)[1]
+
+    def test_encoding_memory_is_bounded(self):
+        text = synthetic_corpus(1, 1, 2000, seed=5)["lang00"][0]
+        item = ItemMemory(10000, SEED)
+        tracemalloc.start()
+        try:
+            encode_text(text, item, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    def test_ngrams_counted_on_lowercased_text(self):
+        # "İ" lowercases to two code points, so "abİc" has 3 trigrams
+        item = ItemMemory(D, SEED)
+        assert len("abİc".lower()) == 5
+        expected = _encode_text_ref("abİc", item, 3)
+        assert np.array_equal(encode_text("abİc", item, 3), expected)
+        assert np.array_equal(
+            encode_text("abİc", item, 3), encode_text("abi\u0307c", item, 3)
+        )
+        assert encode_text("İ", item, 2).shape == (D,)
+
+
+class TestModelValidation:
+    @pytest.fixture
+    def saved(self, model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update(labels=[], class_vectors={}), "no labels"),
+            (lambda p: p["labels"].append(p["labels"][0]), "duplicate labels"),
+            (lambda p: p.update(d=p["d"] + 8), "stores 1024 bits, expected 1032"),
+            (lambda p: p.update(d=p["d"] - 8), "stores 1024 bits, expected 1016"),
+            (lambda p: p.update(d=4), "d must be >= 8"),
+            (lambda p: p.update(n_gram=0), "n_gram must be >= 1"),
+        ],
+        ids=["empty", "duplicate", "short", "long", "small_d", "zero_n_gram"],
+    )
+    def test_unservable_model_rejected(self, saved, edit, message):
+        payload = json.loads(saved.read_text())
+        edit(payload)
+        saved.write_text(json.dumps(payload))
+        with pytest.raises(UsageError, match=message):
+            load_model(saved)
+
+    @pytest.mark.parametrize("block", [8, 64, 96])
+    def test_class_vector_of_wrong_shape_rejected(self, model, block):
+        vectors = dict(model.class_vectors)
+        vectors[model.labels[1]] = vectors[model.labels[1]][:-8]
+        m = HdcModel(
+            labels=model.labels, class_vectors=vectors, d=D, n_gram=3, seed=SEED
+        )
+        q = model.class_vectors[model.labels[0]]
+        with pytest.raises(UsageError):
+            infer_exact(m, q)
+        with pytest.raises(UsageError):
+            infer_tcam(m, q, BlockPlan(block_size=block))
