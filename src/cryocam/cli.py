@@ -115,13 +115,7 @@ def _saturated_device(cfg: RunConfig, state: str) -> FeSquidDevice:
     span = cfg.fe_model().v_span
     apply_voltage(fe, span if state == "low" else -span)
     apply_voltage(fe, 0.0)
-    return FeSquidDevice(
-        fe=fe,
-        sc=cfg.superconductor(),
-        t_op=cfg["t_op_K"],
-        r_low_state=cfg["r_low_state_ohm"],
-        r_high_state=cfg["r_high_state_ohm"],
-    )
+    return FeSquidDevice(fe=fe, sc=cfg.superconductor(), t_op=cfg["t_op_K"])
 
 
 def cmd_device_iv(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
@@ -131,7 +125,8 @@ def cmd_device_iv(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     i_points = np.linspace(0.0, args.i_max_uA * 1e-6, args.points)
     label = f"ic_{args.state}"
     if args.model == "behavioral":
-        v = np.array([branch_voltage(dev, i) for i in i_points])
+        bias = cfg.bias()
+        v = np.array([branch_voltage(dev, i, bias) for i in i_points])
     else:
         v = simulate_rcsj_iv(dev, i_points, cfg.rcsj()).v_avg
     rows = [[i, float(vv), label, args.model] for i, vv in zip(i_points, v)]

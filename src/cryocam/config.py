@@ -17,7 +17,14 @@ from .errors import ConfigError
 from .fesquid import RcsjParams, critical_window
 from .ferroelectric import PreisachModel
 from .htron import HtronDevice
-from .tcam import BiasConfig, TcamArray, exact_bias_problem, hd_bias_problem
+from .tcam import (
+    BiasConfig,
+    TcamArray,
+    exact_bias_problem,
+    gate_problem,
+    hd_bias_problem,
+    write_inequality_problem,
+)
 
 # key -> (default in config units, description)
 DEFAULTS = {
@@ -99,13 +106,10 @@ class RunConfig:
         )
 
     def htron(self) -> HtronDevice:
-        """The array's hTron record; ``t_search_ns`` is its switching time."""
-        v = self.values
-        return HtronDevice(
-            i_g_crit=_si(v["ht_i_g_crit_uA"], -6),
-            r_off=_si(v["ht_r_off_kohm"], 3),
-            t_switch=_si(v["t_search_ns"], -9),
-        )
+        """The array's hTron record: its gate threshold.  Its resistive
+        channel and switching time are the row record's r_gate and
+        t_search."""
+        return HtronDevice(i_g_crit=_si(self.values["ht_i_g_crit_uA"], -6))
 
     def bias(self) -> BiasConfig:
         """The row record every search, closed form and calibration reads."""
@@ -217,25 +221,19 @@ def validate_values(values: dict) -> list[str]:
             f"lowest polarization-shifted T_C = "
             f"{v['t_c_base_K'] - v['delta_tc_K']} K"
         )
-    if not 0.5 * v["v_write_V"] < v["fe_v_c_V"] < v["v_write_V"]:
-        problems.append(
-            f"write inequality violated: need V_WRITE/2 < V_C < V_WRITE, got "
-            f"V_WRITE={v['v_write_V']} V, V_C={v['fe_v_c_V']} V"
-        )
-    if v["i_rbl_on_uA"] <= v["ht_i_g_crit_uA"]:
-        problems.append(
-            f"asserted RBL current {v['i_rbl_on_uA']} uA must exceed the "
-            f"hTron gate threshold {v['ht_i_g_crit_uA']} uA"
-        )
+    cfg = RunConfig(values=dict(values))
+    bias = cfg.bias()
+    checks = [
+        write_inequality_problem(v["v_write_V"], v["fe_v_c_V"]),
+        gate_problem(bias.i_rbl_on, cfg.htron().i_g_crit),
+    ]
     if superconducting:
-        cfg = RunConfig(values=dict(values))
-        window, bias = cfg.critical_window(), cfg.bias()
-        for problem in (
+        window = cfg.critical_window()
+        checks += [
             exact_bias_problem(bias.i_rwl_exact, window),
             hd_bias_problem(bias.i_rwl_hd, window),
-        ):
-            if problem:
-                problems.append(problem)
+        ]
+    problems.extend(problem for problem in checks if problem)
     return problems
 
 

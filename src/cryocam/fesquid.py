@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,28 +26,25 @@ from .device_physics import (
 from .errors import DomainError, NumericError
 from .ferroelectric import PreisachState, remnant_fraction
 
+if TYPE_CHECKING:
+    from .tcam import BiasConfig
+
 
 @dataclass
 class FeSquidDevice:
     """One FeSQUID: ferroelectric occupancy + superconductor parameters.
 
-    ``r_low_state`` is the resistive-branch resistance when the stored
-    state is the low-I_C one (positive remnant); ``r_high_state`` when it
-    is the high-I_C one (negative remnant).  The high-I_C state is the
-    better superconductor and has the lower resistive value.
+    Its resistive-branch values are not stored here: they are the row
+    record's ``r_match``/``r_mismatch``, which ``branch_voltage`` reads.
     """
 
     fe: PreisachState
     sc: SuperconductorParams
     t_op: float = 4.0  # K
-    r_low_state: float = 1.8e3  # ohm, positive-remnant (low-I_C) state
-    r_high_state: float = 0.9e3  # ohm, negative-remnant (high-I_C) state
 
     def __post_init__(self):
         if self.t_op <= 0.0:
             raise DomainError(f"t_op must be > 0 K, got {self.t_op}")
-        if self.r_low_state <= 0.0 or self.r_high_state <= 0.0:
-            raise DomainError("state resistances must be > 0")
 
 
 def critical_current_at(p: float, sc: SuperconductorParams, t_op: float) -> float:
@@ -71,19 +69,21 @@ def critical_window(sc: SuperconductorParams, t_op: float) -> tuple[float, float
     return critical_current_at(+1.0, sc, t_op), critical_current_at(-1.0, sc, t_op)
 
 
-def state_resistance(dev: FeSquidDevice) -> float:
-    """Resistive-branch resistance for the currently stored remnant sign."""
-    return dev.r_low_state if remnant_fraction(dev.fe) >= 0.0 else dev.r_high_state
-
-
-def branch_voltage(dev: FeSquidDevice, i: float) -> float:
+def branch_voltage(dev: FeSquidDevice, i: float, bias: BiasConfig) -> float:
     """Behavioral piecewise I-V: exactly 0 V up to the critical current,
-    i * R_state above it."""
+    i * R above it.  R is the row record's ``r_match`` when the stored
+    state is the low-I_C one (positive remnant) and ``r_mismatch`` when it
+    is the high-I_C one (negative remnant): the high-I_C state is the
+    better superconductor and has the lower resistive value."""
     if i < 0.0:
         raise DomainError(f"bias current must be >= 0, got {i}")
-    if i <= critical_current(dev):
+    p = remnant_fraction(dev.fe)
+    r = bias.r_match if p >= 0.0 else bias.r_mismatch
+    if r <= 0.0:
+        raise DomainError(f"state resistance must be > 0, got {r}")
+    if i <= critical_current_at(p, dev.sc, dev.t_op):
         return 0.0
-    return i * state_resistance(dev)
+    return i * r
 
 
 @dataclass(frozen=True)

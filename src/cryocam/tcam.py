@@ -92,12 +92,12 @@ class TcamArray:
     ``(state id, voltage) -> state id`` map.  Fresh devices sit at negative
     saturation settled at 0 V.
 
-    Searches read the row record ``bias`` and the one ``htron`` record all
-    access switches share, whose r_off and t_switch must equal
-    ``bias.r_gate`` and ``bias.t_search``.  Searches are pure, so they may
-    run concurrently; a write needs exclusive access to the whole array
-    (the V/2 scheme touches an entire row and column, and may extend the
-    state table).
+    Searches read the row record ``bias``, which holds every branch
+    resistance and the search time, and the gate threshold of the one
+    ``htron`` record all access switches share.  Searches are pure, so
+    they may run concurrently; a write needs exclusive access to the
+    whole array (the V/2 scheme touches an entire row and column, and may
+    extend the state table).
     """
 
     def __init__(
@@ -118,16 +118,15 @@ class TcamArray:
         self.sc = sc or SuperconductorParams()
         self.t_op = t_op
         self.bias = bias = bias or BiasConfig()
-        self.htron = htron or HtronDevice(r_off=bias.r_gate, t_switch=bias.t_search)
-        if (self.htron.r_off, self.htron.t_switch) != (bias.r_gate, bias.t_search):
-            raise ConfigError(
-                "the hTron's r_off and t_switch must equal the row's r_gate "
-                "and t_search"
-            )
+        self.htron = htron or HtronDevice()
         if t_op <= 0.0:
             raise DomainError(f"t_op must be > 0 K, got {t_op}")
         if bias.r_match <= 0.0 or bias.r_mismatch <= 0.0:
             raise DomainError("state resistances must be > 0")
+        if bias.r_gate <= 0.0:
+            raise DomainError(f"r_gate must be > 0, got {bias.r_gate}")
+        if bias.t_search <= 0.0:
+            raise DomainError(f"t_search must be > 0, got {bias.t_search}")
 
         self._states: list[PreisachState] = []  # representative of each id
         self._remnants: list[float] = []  # remnant_fraction of each id
@@ -197,15 +196,6 @@ def _check_address(array: TcamArray, row: int, col: int):
         )
 
 
-def _check_write_inequality(array: TcamArray):
-    v_w, v_c = array.bias.v_write, array.fe_model.v_c
-    if not (0.5 * v_w < v_c < v_w):
-        raise ConfigError(
-            f"write inequality violated: need V_WRITE/2 < V_C < V_WRITE, "
-            f"got V_WRITE={v_w} V, V_C={v_c} V"
-        )
-
-
 def write_bit(array: TcamArray, row: int, col: int, value: int) -> TcamArray:
     """V/2 write of one bit.
 
@@ -219,7 +209,9 @@ def write_bit(array: TcamArray, row: int, col: int, value: int) -> TcamArray:
     if value not in (0, 1):
         raise UsageError(f"bit value must be 0 or 1, got {value!r}")
     _check_address(array, row, col)
-    _check_write_inequality(array)
+    problem = write_inequality_problem(array.bias.v_write, array.fe_model.v_c)
+    if problem:
+        raise ConfigError(problem)
     maps = array._pulse_maps()
     v_w = array.bias.v_write
     v1 = -v_w if value == 1 else v_w
@@ -245,6 +237,28 @@ def store_word(array: TcamArray, row: int, bits: str) -> TcamArray:
     for c, b in enumerate(bits):
         write_bit(array, row, c, int(b))
     return array
+
+
+def write_inequality_problem(v_write: float, v_c: float) -> str | None:
+    """None when V_WRITE/2 < V_C < V_WRITE (a half-select pulse never
+    switches, a full one does), else the violation message."""
+    if 0.5 * v_write < v_c < v_write:
+        return None
+    return (
+        f"write inequality violated: need V_WRITE/2 < V_C < V_WRITE, "
+        f"got V_WRITE={v_write} V, V_C={v_c} V"
+    )
+
+
+def gate_problem(i_rbl_on: float, i_g_crit: float) -> str | None:
+    """None when the asserted gate current switches an hTron
+    (i_rbl_on > i_g_crit), else the violation message."""
+    if i_rbl_on > i_g_crit:
+        return None
+    return (
+        f"asserted RBL current {i_rbl_on:.4g} A must exceed the hTron gate "
+        f"threshold {i_g_crit:.4g} A"
+    )
 
 
 def exact_bias_problem(
@@ -299,13 +313,16 @@ def _search(array: TcamArray, key: SearchKey, hd: bool) -> list[MatchLineResult]
     bias = array.bias
     window = critical_window(array.sc, array.t_op)
     i_rwl = bias.i_rwl_hd if hd else bias.i_rwl_exact
-    problem = (hd_bias_problem if hd else exact_bias_problem)(i_rwl, window)
+    window_problem = hd_bias_problem if hd else exact_bias_problem
+    problem = window_problem(i_rwl, window) or gate_problem(
+        bias.i_rbl_on, array.htron.i_g_crit
+    )
     if problem:
         raise ConfigError(problem)
 
     def gated(trit: str, drives: str) -> bool:
         i_g = bias.i_rbl_on if trit in drives else 0.0
-        return drive_state(array.htron, i_g, 0.0) == RESISTIVE
+        return drive_state(array.htron, i_g) == RESISTIVE
 
     trits = np.frombuffer(key.trits.encode(), dtype=np.uint8)
     gates = np.empty((array.cols, 2), dtype=bool)

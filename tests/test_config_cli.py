@@ -8,6 +8,7 @@ from cryocam.cli import main
 from cryocam.config import DEFAULTS, build_config, parse_config
 from cryocam.errors import ConfigError
 from cryocam.hdc import save_model, synthetic_corpus, train
+from cryocam.htron import HtronDevice
 from cryocam.tcam import BiasConfig
 
 
@@ -86,7 +87,7 @@ class TestConfigParsing:
     def test_builders_produce_si_units(self):
         cfg = build_config()
         assert cfg.bias().i_rwl_hd == pytest.approx(5e-6)
-        assert cfg.htron().r_off == pytest.approx(50e3)
+        assert cfg.bias().r_gate == pytest.approx(50e3)
         assert cfg.fe_model().p_s == pytest.approx(0.30)
         low, high = cfg.critical_window()
         assert 2.0e-6 < low < high < 4.5e-6
@@ -94,7 +95,7 @@ class TestConfigParsing:
     def test_default_config_builds_default_row_record(self):
         cfg = build_config()
         assert cfg.bias() == BiasConfig()
-        assert cfg.htron().t_switch == cfg.bias().t_search
+        assert cfg.htron() == HtronDevice()
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -205,6 +206,22 @@ class TestCliDeviceAndFe:
         branches = {l.split(",")[2] for l in lines[1:]}
         assert branches == {"up", "down"}
 
+    @pytest.mark.parametrize(
+        "state, key, ohm", [("low", "r_low_state_ohm", 2400.0),
+                            ("high", "r_high_state_ohm", 1200.0)]
+    )
+    def test_branch_resistance_key_reaches_device_iv(
+        self, state, key, ohm, tmp_path
+    ):
+        code, out = run_cli(
+            ["--set", f"{key}={ohm:g}", "device", "iv", "--state", state,
+             "--points", "3"],
+            tmp_path,
+        )
+        assert code == 0
+        top = (out / "device_iv.csv").read_text().splitlines()[-1].split(",")
+        assert float(top[1]) == pytest.approx(float(top[0]) * ohm, rel=1e-9)
+
     @pytest.mark.parametrize("command", ["tcam_search", "device_iv"])
     def test_positive_saturation_on_coarse_grid(self, command, tmp_path):
         # at fe_grid_n=32 the saturated remnant sums to 1 + 2 ulp unclamped
@@ -304,6 +321,15 @@ class TestCliErrors:
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error_category"] == "validation"
         assert any("HD mode requires" in m for m in payload["messages"])
+
+    def test_gate_current_below_htron_threshold_exits_3(self, tmp_path, capsys):
+        code, out = run_cli(["--set", "i_rbl_on_uA=10", "tcam", "calibrate"],
+                            tmp_path)
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        assert any("hTron gate threshold" in m for m in payload["messages"])
+        assert not out.exists()
 
     def test_missing_store_file_exits_3(self, tmp_path):
         code = main(

@@ -16,6 +16,7 @@ from cryocam.fesquid import (
     simulate_rcsj_iv,
 )
 from cryocam.ferroelectric import PreisachModel, apply_voltage
+from cryocam.tcam import BiasConfig
 
 # Hand-evaluated through the gap and critical-current closed forms at
 # t_c_base 9.2 K, delta_tc 0.4 K, r_n 1 kOhm, t_op 4 K.
@@ -67,13 +68,13 @@ class TestCriticalCurrent:
 
 class TestBranchVoltage:
     def test_zero_bias_zero_voltage(self, fe_model):
-        assert branch_voltage(make_device(fe_model, -1), 0.0) == 0.0
+        assert branch_voltage(make_device(fe_model, -1), 0.0, BiasConfig()) == 0.0
 
     def test_zero_exactly_up_to_critical_current(self, fe_model):
         dev = make_device(fe_model, -1)
         i_c = critical_current(dev)
         for i in np.linspace(0.0, i_c, 40):
-            assert branch_voltage(dev, float(i)) == 0.0
+            assert branch_voltage(dev, float(i), BiasConfig()) == 0.0
 
     def test_state_discrimination_in_window(self, fe_model):
         dev_high = make_device(fe_model, -1)
@@ -81,21 +82,21 @@ class TestBranchVoltage:
         i_low = critical_current(dev_low)
         i_high = critical_current(dev_high)
         for i in np.linspace(i_low * 1.01, i_high * 0.99, 25):
-            v_high = branch_voltage(dev_high, float(i))
-            v_low = branch_voltage(dev_low, float(i))
+            v_high = branch_voltage(dev_high, float(i), BiasConfig())
+            v_low = branch_voltage(dev_low, float(i), BiasConfig())
             assert v_high == 0.0
-            assert v_low == pytest.approx(i * dev_low.r_low_state)
+            assert v_low == pytest.approx(i * BiasConfig().r_match)
             assert v_low > 0.0
 
     def test_monotone_non_decreasing(self, fe_model):
         dev = make_device(fe_model, +1)
         grid = np.linspace(0.0, 3.0 * critical_current(dev), 200)
-        volts = [branch_voltage(dev, float(i)) for i in grid]
+        volts = [branch_voltage(dev, float(i), BiasConfig()) for i in grid]
         assert all(v2 >= v1 for v1, v2 in zip(volts, volts[1:]))
 
     def test_negative_bias_rejected(self, fe_model):
         with pytest.raises(DomainError):
-            branch_voltage(make_device(fe_model, -1), -1e-6)
+            branch_voltage(make_device(fe_model, -1), -1e-6, BiasConfig())
 
 
 class TestRcsj:
@@ -169,7 +170,11 @@ class TestParamsValidation:
         with pytest.raises(DomainError):
             FeSquidDevice(fe=state, sc=SuperconductorParams(), t_op=0.0)
         with pytest.raises(DomainError):
-            FeSquidDevice(fe=state, sc=SuperconductorParams(), r_low_state=0.0)
+            branch_voltage(make_device(fe_model, +1), 1e-6, BiasConfig(r_match=0.0))
+        with pytest.raises(DomainError):
+            branch_voltage(
+                make_device(fe_model, -1), 1e-6, BiasConfig(r_mismatch=-1.0)
+            )
 
 
 def _rk4_step_ref(phi, u, i, beta_c, h):

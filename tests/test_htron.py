@@ -1,89 +1,65 @@
-"""hTron switch semantics: thresholds, tie-breaks, latency bookkeeping."""
+"""hTron switch semantics: the strict gate threshold, and the resistance
+and latency it takes from the row record."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from cryocam.errors import DomainError
-from cryocam.htron import (
-    RESISTIVE,
-    SUPERCONDUCTING,
-    HtronDevice,
-    apply_drive,
-    channel_resistance,
-    drive_state,
-)
+from cryocam.htron import RESISTIVE, SUPERCONDUCTING, HtronDevice, drive_state
+from cryocam.tcam import BiasConfig, TcamArray
 
 
 class TestSwitching:
     def test_idle_stays_superconducting(self):
-        dev = HtronDevice()
-        assert apply_drive(dev, 0.0, 30e-6) == SUPERCONDUCTING
+        assert drive_state(HtronDevice(), 0.0) == SUPERCONDUCTING
 
     def test_gate_overdrive_switches(self):
-        dev = HtronDevice()
-        assert apply_drive(dev, 25e-6, 0.0) == RESISTIVE
-        assert channel_resistance(dev) == 50e3
-
-    def test_channel_overdrive_switches(self):
-        dev = HtronDevice()
-        assert apply_drive(dev, 0.0, 70e-6) == RESISTIVE
+        assert drive_state(HtronDevice(), 25e-6) == RESISTIVE
 
     def test_exact_threshold_stays_superconducting(self):
         dev = HtronDevice()
-        assert apply_drive(dev, dev.i_g_crit, 0.0) == SUPERCONDUCTING
-        assert apply_drive(dev, 0.0, dev.i_ch_crit) == SUPERCONDUCTING
-
-    def test_state_recomputed_each_drive(self):
-        dev = HtronDevice()
-        apply_drive(dev, 25e-6, 0.0)
-        assert dev.state == RESISTIVE
-        apply_drive(dev, 0.0, 0.0)
-        assert dev.state == SUPERCONDUCTING
+        assert drive_state(dev, dev.i_g_crit) == SUPERCONDUCTING
 
     def test_monotone_threshold_property(self):
         rng = np.random.default_rng(11)
         dev = HtronDevice()
         for _ in range(200):
             g1, g2 = sorted(rng.uniform(0.0, 50e-6, size=2))
-            b = rng.uniform(0.0, 80e-6)
-            s1 = apply_drive(HtronDevice(), g1, b)
-            s2 = apply_drive(HtronDevice(), g2, b)
-            if s1 == RESISTIVE:
-                assert s2 == RESISTIVE
-        assert dev.state == SUPERCONDUCTING  # untouched template
+            if drive_state(dev, g1) == RESISTIVE:
+                assert drive_state(dev, g2) == RESISTIVE
 
     def test_drive_state_leaves_device_untouched(self):
         dev = HtronDevice()
-        assert drive_state(dev, 25e-6, 0.0) == RESISTIVE
-        assert drive_state(dev, 0.0, 70e-6) == RESISTIVE
-        assert dev.state == SUPERCONDUCTING
-        assert dev.switch_count == 0
+        assert drive_state(dev, 25e-6) == RESISTIVE
+        assert dev == HtronDevice()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dev.i_g_crit = 0.0
 
     def test_negative_currents_rejected(self):
         with pytest.raises(DomainError):
-            apply_drive(HtronDevice(), -1e-6, 0.0)
+            drive_state(HtronDevice(), -1e-6)
+
+    def test_default_gate_threshold(self):
+        assert [f.name for f in dataclasses.fields(HtronDevice)] == ["i_g_crit"]
+        assert HtronDevice().i_g_crit == pytest.approx(20e-6)
+
+    @pytest.mark.parametrize("i_g_crit", [0.0, -1e-6])
+    def test_non_positive_threshold_rejected(self, i_g_crit):
+        # a threshold at or below 0 A would switch every branch, driven or not
+        with pytest.raises(DomainError):
+            HtronDevice(i_g_crit=i_g_crit)
 
 
 class TestResistanceAndLatency:
-    def test_resistance_pure_function_of_state(self):
-        dev = HtronDevice()
-        apply_drive(dev, 30e-6, 0.0)
-        assert channel_resistance(dev) == channel_resistance(dev) == dev.r_off
-        apply_drive(dev, 0.0, 0.0)
-        assert channel_resistance(dev) == 0.0
-
-    def test_switch_events_counted_once_per_transition(self):
-        dev = HtronDevice()
-        apply_drive(dev, 30e-6, 0.0)  # S -> R
-        apply_drive(dev, 30e-6, 0.0)  # stays R, no new event
-        apply_drive(dev, 0.0, 0.0)  # R -> S, not counted
-        apply_drive(dev, 30e-6, 0.0)  # S -> R
-        assert dev.switch_count == 2
+    """The resistive channel and the switching time are the row record's
+    r_gate and t_search; the array validates them."""
 
     def test_default_latency_is_search_time(self):
-        assert HtronDevice().t_switch == pytest.approx(0.3e-9)
+        assert BiasConfig().t_search == pytest.approx(0.3e-9)
 
-    @pytest.mark.parametrize("kwargs", [{"r_off": 0.0}, {"t_switch": 0.0}])
+    @pytest.mark.parametrize("kwargs", [{"r_gate": 0.0}, {"t_search": 0.0}])
     def test_invalid_device_rejected(self, kwargs):
         with pytest.raises(DomainError):
-            HtronDevice(**kwargs)
+            TcamArray(1, 1, bias=BiasConfig(**kwargs))

@@ -417,21 +417,27 @@ class TestSearchPurity:
             search_hd(array, SearchKey(key))
         assert pickle.dumps(array) == before
 
-    def test_htron_must_agree_with_row_record(self):
-        with pytest.raises(ConfigError, match="r_gate"):
-            TcamArray(1, 1, bias=BiasConfig(r_gate=40e3), htron=HtronDevice())
-        with pytest.raises(ConfigError, match="t_search"):
-            TcamArray(1, 1, bias=BiasConfig(t_search=1e-9), htron=HtronDevice())
-
 
 class TestSearchKeyAndTiming:
     def test_key_charset_validated(self):
         with pytest.raises(UsageError):
             SearchKey("01x")
 
-    def test_search_time_is_one_switching_depth(self):
-        array = TcamArray(1, 8)
-        assert array.bias.t_search == array.htron.t_switch
+    @pytest.mark.parametrize("search", [search_exact, search_hd])
+    @pytest.mark.parametrize("i_rbl_on, i_g_crit", [(10e-6, 20e-6), (40e-6, 40e-6)])
+    def test_gate_drive_must_switch_the_htron(self, search, i_rbl_on, i_g_crit):
+        # An asserted gate current at or below the threshold switches no
+        # branch, so the key never reaches the row: in exact mode every
+        # row would read 0 V, even an exact hit.
+        array = TcamArray(
+            2,
+            4,
+            bias=BiasConfig(i_rbl_on=i_rbl_on),
+            htron=HtronDevice(i_g_crit=i_g_crit),
+        )
+        store_word(array, 0, "1010")
+        with pytest.raises(ConfigError, match="hTron gate threshold"):
+            search(array, SearchKey("1010"))
 
 
 class _ReferenceArray:
