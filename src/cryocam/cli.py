@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -121,6 +122,8 @@ def _saturated_device(cfg: RunConfig, state: str) -> FeSquidDevice:
 def cmd_device_iv(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
+    if not math.isfinite(args.i_max_uA):
+        raise UsageError(f"--i-max-uA must be finite, got {args.i_max_uA}")
     dev = _saturated_device(cfg, args.state)
     i_points = np.linspace(0.0, args.i_max_uA * 1e-6, args.points)
     label = f"ic_{args.state}"
@@ -140,10 +143,14 @@ def cmd_device_iv(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_fe_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
-    model = cfg.fe_model()
-    state = model.initial_state()
     leg = args.points_per_leg
     v_max = args.v_max_V
+    if not (math.isfinite(v_max) and leg >= 1 and args.cycles >= 0):
+        raise UsageError(
+            "need a finite --v-max-V, --points-per-leg >= 1 and --cycles >= 0, "
+            f"got {v_max}, {leg}, {args.cycles}"
+        )
+    state = cfg.fe_model().initial_state()
     up = np.linspace(-v_max, v_max, leg)
     down = np.linspace(v_max, -v_max, leg)
     samples = [np.linspace(0.0, -v_max, leg)]  # entry leg to negative tip

@@ -265,6 +265,8 @@ def energy_sweep(
     carries the fixed published constant at block size 10, scaled
     linearly in D, and is absent elsewhere.
     """
+    if d_bits < 1:
+        raise DomainError(f"D must be >= 1, got {d_bits}")
     if not 0.0 <= match_fraction <= 1.0:
         raise DomainError(f"match fraction must be in [0, 1], got {match_fraction}")
     rows = []

@@ -32,7 +32,7 @@ from .ferroelectric import (
     drive_voltage,
     remnant_fraction,
 )
-from .htron import RESISTIVE, HtronDevice, drive_state
+from .htron import HtronDevice
 
 TRITS = ("0", "1", "d")
 
@@ -85,19 +85,19 @@ class TcamArray:
     """rows x cols grid of TCAM cells sharing one ML per row.
 
     Each cell holds two ferroelectrics, fs1 and fs2.  A device's state is
-    one small integer, ``ids[row, col, branch]``, that indexes a per-array
-    table of the distinct Preisach states the devices can reach.  By
-    wipe-out, V/2 pulse trains reach only a handful of them, so the table
-    stays short and a pulse is a gather through a memoised
-    ``(state id, voltage) -> state id`` map.  Fresh devices sit at negative
-    saturation settled at 0 V.
+    one small integer, ``ids[row, col, branch]``, that indexes the array's
+    state table (``_state_table``): every Preisach state the V/2 write
+    voltages can reach, with remnants and pulse maps.  By wipe-out it is
+    short (6 states at the defaults) and complete once the array is
+    built, so writes and searches only read it, and the write voltage is
+    fixed then.  Fresh devices (id 0) sit at negative saturation settled
+    at 0 V.
 
     Searches read the row record ``bias``, which holds every branch
     resistance and the search time, and the gate threshold of the one
     ``htron`` record all access switches share.  Searches are pure, so
     they may run concurrently; a write needs exclusive access to the
-    whole array (the V/2 scheme touches an entire row and column, and may
-    extend the state table).
+    whole array (the V/2 scheme touches an entire row and column).
     """
 
     def __init__(
@@ -128,44 +128,11 @@ class TcamArray:
         if bias.t_search <= 0.0:
             raise DomainError(f"t_search must be > 0, got {bias.t_search}")
 
-        self._states: list[PreisachState] = []  # representative of each id
-        self._remnants: list[float] = []  # remnant_fraction of each id
-        self._ids_by_key: dict[tuple[bytes, float], int] = {}
-        # voltage -> the id a (v, 0 V) pulse leads to from each id
-        self._next: dict[float, list[int]] = {}
-        fresh = self.fe_model.initial_state()
-        drive_voltage(fresh, 0.0)
-        self.ids = np.full((rows, cols, 2), self._intern(fresh), dtype=np.int32)
-
-    def _intern(self, fe: PreisachState) -> int:
-        """Id of the state equal to ``fe``; ``fe`` becomes the
-        representative of a new id if no state equals it."""
-        key = (fe.relay_up.tobytes(), fe.last_v)
-        sid = self._ids_by_key.get(key)
-        if sid is None:
-            sid = self._ids_by_key[key] = len(self._states)
-            self._states.append(fe)
-            self._remnants.append(remnant_fraction(fe))
-        return sid
-
-    def _pulse_maps(self) -> dict[float, np.ndarray]:
-        """The (v, 0 V) pulse map of each write voltage +/-V_WRITE and
-        +/-V_WRITE/2, as id arrays.  New transitions are run once on a
-        clone of the representative, until every map is total on the
-        state table."""
-        v_w = self.bias.v_write
-        volts = (v_w, -v_w, 0.5 * v_w, -0.5 * v_w)
-        known = 0
-        while known < len(self._states):
-            known = len(self._states)
-            for v in volts:
-                nxt = self._next.setdefault(v, [])
-                while len(nxt) < known:
-                    fe = self._states[len(nxt)].clone()
-                    drive_voltage(fe, v)
-                    drive_voltage(fe, 0.0)
-                    nxt.append(self._intern(fe))
-        return {v: np.array(self._next[v], dtype=np.int32) for v in volts}
+        self._v_write = bias.v_write  # the voltage the state table holds
+        self._states, self._remnants, self._pulse = _state_table(
+            self.fe_model, bias.v_write
+        )
+        self.ids = np.zeros((rows, cols, 2), dtype=np.int32)
 
     def fe_state(self, row: int, col: int, branch: int) -> PreisachState:
         """A clone of the Preisach state of ferroelectric fs1 (``branch``
@@ -180,13 +147,43 @@ class TcamArray:
         return 1 if self._remnants[self.ids[row, col, 0]] < 0.0 else 0
 
     def read_word(self, row: int) -> str:
-        ones = np.array(self._remnants)[self.ids[row, :, 0]] < 0.0
+        ones = self._remnants[self.ids[row, :, 0]] < 0.0
         return (ones.astype(np.uint8) + ord("0")).tobytes().decode()
 
     def remnant_signs(self):
         """(rows x cols x 2) tuple snapshot of remnant signs, for tests."""
         signs = np.copysign(1.0, self._remnants)[self.ids]
         return tuple(tuple(map(tuple, row)) for row in signs.tolist())
+
+
+def _state_table(
+    fe_model: PreisachModel, v_write: float
+) -> tuple[list[PreisachState], np.ndarray, dict[float, np.ndarray]]:
+    """Every state a fresh device reaches under (v, 0 V) pulses at
+    +/-V_WRITE and +/-V_WRITE/2: (representative states, their remnant
+    fractions, voltage -> int32 map from state id to state id).
+
+    A breadth-first walk from the fresh state, id 0, that runs each
+    transition once on a clone of its source state; a state with the
+    relays and last input of a known one takes that one's id.
+    """
+    fresh = fe_model.initial_state()
+    drive_voltage(fresh, 0.0)
+    states = [fresh]
+    ids_by_key = {(fresh.relay_up.tobytes(), fresh.last_v): 0}
+    maps = {v: [] for v in (v_write, -v_write, 0.5 * v_write, -0.5 * v_write)}
+    for source in states:  # states found below join the walk
+        for v, pulse_map in maps.items():
+            fe = source.clone()
+            drive_voltage(fe, v)
+            drive_voltage(fe, 0.0)
+            key = (fe.relay_up.tobytes(), fe.last_v)
+            sid = ids_by_key.setdefault(key, len(states))
+            if sid == len(states):
+                states.append(fe)
+            pulse_map.append(sid)
+    remnants = np.array([remnant_fraction(fe) for fe in states])
+    return states, remnants, {v: np.array(m, dtype=np.int32) for v, m in maps.items()}
 
 
 def _check_address(array: TcamArray, row: int, col: int):
@@ -203,17 +200,23 @@ def write_bit(array: TcamArray, row: int, col: int, value: int) -> TcamArray:
     negative for a 1, fs2 the opposite) and half-selected cells in the
     same row or column see half that, each pulse returning to 0 V.  Every
     other cell sees 0 V, which leaves its 0 V-settled devices as they are,
-    so only the selected row and column are updated: a write costs
-    O(R + C).
+    so only the selected row and column are updated, each device by a
+    gather through the state table's pulse maps at the V_WRITE it was
+    built for: a write costs O(R + C) and runs no relay model.
     """
     if value not in (0, 1):
         raise UsageError(f"bit value must be 0 or 1, got {value!r}")
     _check_address(array, row, col)
-    problem = write_inequality_problem(array.bias.v_write, array.fe_model.v_c)
+    v_w = array.bias.v_write
+    problem = write_inequality_problem(v_w, array.fe_model.v_c)
     if problem:
         raise ConfigError(problem)
-    maps = array._pulse_maps()
-    v_w = array.bias.v_write
+    if v_w != array._v_write:
+        raise ConfigError(
+            f"V_WRITE={v_w} V is not the {array._v_write} V the array's "
+            "state table was built for"
+        )
+    pulse = array._pulse
     v1 = -v_w if value == 1 else v_w
     ids = array.ids
     for cells, v in (
@@ -223,8 +226,8 @@ def write_bit(array: TcamArray, row: int, col: int, value: int) -> TcamArray:
         (ids[row + 1 :, col], 0.5 * v1),
         (ids[row, col : col + 1], v1),
     ):
-        cells[:, 0] = maps[v][cells[:, 0]]
-        cells[:, 1] = maps[-v][cells[:, 1]]
+        cells[:, 0] = pulse[v][cells[:, 0]]
+        cells[:, 1] = pulse[-v][cells[:, 1]]
     return array
 
 
@@ -295,11 +298,12 @@ def _search(array: TcamArray, key: SearchKey, hd: bool) -> list[MatchLineResult]
     """Both modes' resistive row solve, a pure function of the stored
     states and the key.
 
-    The key alone sets each gate through the hTron threshold; a driven
-    branch is an r_gate resistor.  A branch whose gate stays off conducts
-    through its FeSQUID: in exact mode at r_fs_exact above I_C (below it
-    the ML is shorted), in HD mode at r_match or r_mismatch by stored
-    state.  Each verdict is taken once per distinct device state, then
+    The key sets the gates: search 1 drives ht1, 0 drives ht2, d both,
+    and the gate rule, checked first, makes every driven hTron switch, so
+    a driven branch is an r_gate resistor.  A branch whose gate stays off
+    conducts through its FeSQUID: in exact mode at r_fs_exact above I_C
+    (below it the ML is shorted), in HD mode at r_match or r_mismatch by
+    stored state.  Each verdict is taken once per distinct device state, then
     gathered per device.  Conductances add branch by branch in column
     order (a sequential accumulate, not a pairwise sum); this sum is the
     reference the HD closed form is tested against.
@@ -320,17 +324,10 @@ def _search(array: TcamArray, key: SearchKey, hd: bool) -> list[MatchLineResult]
     if problem:
         raise ConfigError(problem)
 
-    def gated(trit: str, drives: str) -> bool:
-        i_g = bias.i_rbl_on if trit in drives else 0.0
-        return drive_state(array.htron, i_g) == RESISTIVE
-
     trits = np.frombuffer(key.trits.encode(), dtype=np.uint8)
-    gates = np.empty((array.cols, 2), dtype=bool)
-    for t in TRITS:
-        # search 1 drives ht1, search 0 drives ht2, d drives both
-        gates[trits == ord(t)] = (gated(t, "1d"), gated(t, "0d"))
+    gates = np.stack((trits != ord("0"), trits != ord("1")), axis=1)
 
-    remnants = np.array(array._remnants)
+    remnants = array._remnants
     if hd:
         shorts = np.zeros(remnants.size, dtype=bool)
         g_state = np.where(remnants >= 0.0, 1.0 / bias.r_match, 1.0 / bias.r_mismatch)

@@ -401,6 +401,29 @@ class TestCliErrors:
         assert not (out / "device_iv.csv").exists()
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["fe", "sweep", "--points-per-leg", "-1"],
+            ["fe", "sweep", "--points-per-leg", "0"],
+            ["fe", "sweep", "--cycles", "-1"],
+            ["fe", "sweep", "--v-max-V", "inf"],
+            ["fe", "sweep", "--v-max-V", "nan"],
+            ["device", "iv", "--i-max-uA", "nan"],
+            ["device", "iv", "--i-max-uA", "inf"],
+            ["hdc", "sweep", "--d", "-10000"],
+            ["hdc", "sweep", "--d", "0"],
+        ],
+        ids=lambda a: " ".join(a[:2] + a[-2:]),
+    )
+    def test_degenerate_sweep_arguments_exit_3(self, args, tmp_path, capsys):
+        # a traceback, a warning line, or a CSV of NaN, inf or negative
+        # energies would each escape the one JSON error line
+        code, out = run_cli(args, tmp_path)
+        assert code == 3
+        assert error_payload(capsys)["error_category"] == "validation"
+        assert list(out.glob("*.csv")) == []
+
+    @pytest.mark.parametrize(
         ("key", "value", "message"),
         [
             ("rcsj_settle_periods", "0", "rcsj_settle_periods must be >= 1, got 0"),

@@ -311,6 +311,12 @@ class TestEnergySweep:
         with pytest.raises(DomainError):
             energy_sweep(10000, [10], 0.03)
 
+    @pytest.mark.parametrize("d_bits", [0, -10000])
+    def test_dimension_below_one_rejected(self, d_bits):
+        # D = -10000 divides by every block size and read as negative energies
+        with pytest.raises(DomainError, match="D must be >= 1"):
+            energy_sweep(d_bits, [10], 0.5)
+
 
 class TestPersistence:
     def test_round_trip(self, model, tmp_path):

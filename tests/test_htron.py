@@ -1,5 +1,6 @@
-"""hTron switch semantics: the strict gate threshold, and the resistance
-and latency it takes from the row record."""
+"""hTron switch semantics: the strict gate threshold, which the gate rule
+``tcam.gate_problem`` states, and the resistance and latency it takes
+from the row record."""
 
 import dataclasses
 
@@ -7,39 +8,42 @@ import numpy as np
 import pytest
 
 from cryocam.errors import DomainError
-from cryocam.htron import RESISTIVE, SUPERCONDUCTING, HtronDevice, drive_state
-from cryocam.tcam import BiasConfig, TcamArray
+from cryocam.htron import HtronDevice
+from cryocam.tcam import BiasConfig, TcamArray, gate_problem
+
+I_G_CRIT = HtronDevice().i_g_crit
 
 
 class TestSwitching:
+    """``gate_problem(i, i_g_crit)`` is None exactly when a gate drive of
+    ``i`` switches the hTron: strictly above the threshold."""
+
     def test_idle_stays_superconducting(self):
-        assert drive_state(HtronDevice(), 0.0) == SUPERCONDUCTING
+        assert "hTron gate threshold" in gate_problem(0.0, I_G_CRIT)
 
     def test_gate_overdrive_switches(self):
-        assert drive_state(HtronDevice(), 25e-6) == RESISTIVE
+        assert gate_problem(25e-6, I_G_CRIT) is None
+        assert gate_problem(np.nextafter(I_G_CRIT, 1.0), I_G_CRIT) is None
 
     def test_exact_threshold_stays_superconducting(self):
-        dev = HtronDevice()
-        assert drive_state(dev, dev.i_g_crit) == SUPERCONDUCTING
+        assert gate_problem(I_G_CRIT, I_G_CRIT) is not None
+        assert gate_problem(np.nextafter(I_G_CRIT, 0.0), I_G_CRIT) is not None
 
     def test_monotone_threshold_property(self):
         rng = np.random.default_rng(11)
-        dev = HtronDevice()
         for _ in range(200):
             g1, g2 = sorted(rng.uniform(0.0, 50e-6, size=2))
-            if drive_state(dev, g1) == RESISTIVE:
-                assert drive_state(dev, g2) == RESISTIVE
-
-    def test_drive_state_leaves_device_untouched(self):
-        dev = HtronDevice()
-        assert drive_state(dev, 25e-6) == RESISTIVE
-        assert dev == HtronDevice()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            dev.i_g_crit = 0.0
+            if gate_problem(g1, I_G_CRIT) is None:
+                assert gate_problem(g2, I_G_CRIT) is None
 
     def test_negative_currents_rejected(self):
-        with pytest.raises(DomainError):
-            drive_state(HtronDevice(), -1e-6)
+        assert gate_problem(-1e-6, I_G_CRIT) is not None
+
+    def test_record_is_frozen(self):
+        dev = HtronDevice()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dev.i_g_crit = 0.0
+        assert dev == HtronDevice()
 
     def test_default_gate_threshold(self):
         assert [f.name for f in dataclasses.fields(HtronDevice)] == ["i_g_crit"]

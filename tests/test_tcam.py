@@ -1,5 +1,6 @@
 """TCAM cells and arrays: write scheme, search semantics, energy model."""
 
+import dataclasses
 import itertools
 import pickle
 
@@ -39,6 +40,19 @@ TERNARY_TARGET = 26.5e-18  # J
 def exact_v_match(bias: BiasConfig) -> float:
     r_par = bias.r_fs_exact * 50e3 / (bias.r_fs_exact + 50e3)
     return bias.i_rwl_exact * r_par
+
+
+@pytest.fixture
+def drive_calls(monkeypatch):
+    """The voltage of every relay-model call ``tcam`` makes from here on."""
+    calls = []
+
+    def counting_drive(state, v):
+        calls.append(v)
+        return drive_voltage(state, v)
+
+    monkeypatch.setattr(tcam, "drive_voltage", counting_drive)
+    return calls
 
 
 class TestWriteScheme:
@@ -148,23 +162,57 @@ class TestWriteScheme:
         with pytest.raises(DomainError):
             TcamArray(1, 1, **kwargs)
 
-    def test_write_cost_is_linear_in_rows_plus_columns(self, monkeypatch):
+    def test_write_cost_is_linear_in_rows_plus_columns(self, drive_calls):
         rows, cols = 16, 32
         rng = np.random.default_rng(11)
         words = ["".join(map(str, rng.integers(0, 2, cols))) for _ in range(rows + 1)]
         array = TcamArray(rows, cols)
+        drive_calls.clear()
         for r in range(rows):
             store_word(array, r, words[r])
-        calls = []
-
-        def counting_drive(state, v):
-            calls.append(v)
-            return drive_voltage(state, v)
-
-        monkeypatch.setattr(tcam, "drive_voltage", counting_drive)
         store_word(array, 3, words[rows])
-        assert len(calls) <= 4 * (rows + cols) * cols
+        assert drive_calls == []  # the state table is complete once built
         assert array.read_word(3) == words[rows]
+
+    def test_build_runs_each_transition_once(self, drive_calls):
+        array = TcamArray(3, 5)
+        # the fresh state's settle, then (v, 0 V) for each of four voltages
+        assert len(drive_calls) == 8 * len(array._states) + 1
+
+    @pytest.mark.parametrize("grid_n", [16, 64])
+    @pytest.mark.parametrize("v_write", [2.0, 1.5])
+    def test_state_table_is_complete(self, v_write, grid_n):
+        model = PreisachModel(grid_n=grid_n)
+        array = TcamArray(1, 1, fe_model=model, bias=BiasConfig(v_write=v_write))
+        states, remnants = array._states, array._remnants
+        keys = [(fe.relay_up.tobytes(), fe.last_v) for fe in states]
+        assert len(set(keys)) == len(states) == remnants.size
+        fresh = drive_voltage(model.initial_state(), 0.0)
+        assert keys[0] == (fresh.relay_up.tobytes(), fresh.last_v)
+        assert sorted(array._pulse) == sorted(
+            (v_write, -v_write, 0.5 * v_write, -0.5 * v_write)
+        )
+        for v, pulse_map in array._pulse.items():
+            assert pulse_map.dtype == np.int32 and pulse_map.shape == (len(states),)
+            assert ((0 <= pulse_map) & (pulse_map < len(states))).all()
+            for sid, fe in enumerate(states):
+                fe = fe.clone()
+                drive_voltage(fe, v)
+                drive_voltage(fe, 0.0)
+                assert keys[pulse_map[sid]] == (fe.relay_up.tobytes(), fe.last_v)
+        for sid, fe in enumerate(states):
+            assert remnants[sid] == remnant_fraction(fe.clone())
+
+    def test_write_voltage_fixed_when_built(self):
+        array = TcamArray(2, 2)
+        store_word(array, 0, "10")
+        array.bias = dataclasses.replace(array.bias, v_write=1.5)
+        before = pickle.dumps(array)
+        with pytest.raises(ConfigError, match=r"V_WRITE=1\.5 V .* 2\.0 V"):
+            write_bit(array, 1, 0, 1)
+        with pytest.raises(ConfigError, match="state table"):
+            store_word(array, 1, "01")
+        assert pickle.dumps(array) == before
 
 
 class TestExactSearch:
@@ -409,7 +457,6 @@ class TestSearchPurity:
         array = TcamArray(3, 4)
         for r, word in enumerate(("0110", "1010", "0001")):
             store_word(array, r, word)
-        array.remnant_signs()  # warm the remnant caches the searches read
         before = pickle.dumps(array)
         for key in ("0110", "1d0d", "dddd", "1111"):
             search_exact(array, SearchKey(key))
