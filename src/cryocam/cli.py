@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, parse_config
+from .config import RunConfig, parse_config, split_assignment
 from .errors import ConfigError, CryocamError, DomainError, NumericError, UsageError
 from .fesquid import FeSquidDevice, branch_voltage, simulate_rcsj_iv
 from .ferroelectric import apply_voltage, apply_waveform
@@ -97,10 +97,11 @@ def _write_manifest(out_dir: Path, command: str, argv, cfg: RunConfig, outputs,
 def _load_config(args) -> RunConfig:
     overrides = {}
     for item in args.set or []:
-        if "=" not in item:
+        pair = split_assignment(item)
+        if pair is None:
             raise ConfigError([f"--set expects key=value, got {item!r}"])
-        key, raw = item.split("=", 1)
-        overrides[key.strip()] = raw.strip()
+        key, raw = pair
+        overrides[key] = raw
     return parse_config(args.config, overrides)
 
 
@@ -112,8 +113,9 @@ def _out_dir(args) -> Path:
 
 
 def _saturated_device(cfg: RunConfig, state: str) -> FeSquidDevice:
-    fe = cfg.fe_model().initial_state()
-    span = cfg.fe_model().v_span
+    model = cfg.fe_model()
+    fe = model.initial_state()
+    span = model.v_span
     apply_voltage(fe, span if state == "low" else -span)
     apply_voltage(fe, 0.0)
     return FeSquidDevice(fe=fe, sc=cfg.superconductor(), t_op=cfg["t_op_K"])
@@ -122,8 +124,8 @@ def _saturated_device(cfg: RunConfig, state: str) -> FeSquidDevice:
 def cmd_device_iv(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
-    if not math.isfinite(args.i_max_uA):
-        raise UsageError(f"--i-max-uA must be finite, got {args.i_max_uA}")
+    if not math.isfinite(args.i_max_uA) or args.i_max_uA < 0:
+        raise UsageError(f"--i-max-uA must be finite and >= 0, got {args.i_max_uA}")
     dev = _saturated_device(cfg, args.state)
     i_points = np.linspace(0.0, args.i_max_uA * 1e-6, args.points)
     label = f"ic_{args.state}"

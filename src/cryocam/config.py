@@ -3,12 +3,14 @@
 Config files are plain text, one ``key = value`` per line, ``#`` for
 comments.  Keys carry their unit (``i_rwl_hd_uA``, ``v_write_V``);
 values are converted to SI at this boundary and stay SI everywhere
-inside the simulator.  Parsing validates the whole file and reports
-every violation, not just the first.
+inside the simulator.  ``DEFAULTS`` declares each key's default (whose
+type is the key's type), valid range and meaning.  Parsing validates
+the whole file and reports every violation, not just the first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -26,51 +28,43 @@ from .tcam import (
     write_inequality_problem,
 )
 
-# key -> (default in config units, description)
+# key -> (default in config units, op, bound, description).  A key has
+# its default's type; a valid value is finite and ``value op bound``.
 DEFAULTS = {
     # superconductor & FeSQUID
-    "t_c_base_K": (9.2, "critical temperature at neutral polarization"),
-    "delta_tc_K": (2.4, "full span of the polarization-induced T_C shift"),
-    "r_n_ohm": (650.0, "SQUID normal-state resistance"),
-    "t_op_K": (4.0, "operating temperature"),
-    "r_low_state_ohm": (1800.0, "resistive branch, low-I_C stored state"),
-    "r_high_state_ohm": (900.0, "resistive branch, high-I_C stored state"),
+    "t_c_base_K": (9.2, ">", 0, "critical temperature at neutral polarization"),
+    "delta_tc_K": (2.4, ">=", 0, "full span of the polarization-induced T_C shift"),
+    "r_n_ohm": (650.0, ">", 0, "SQUID normal-state resistance"),
+    "t_op_K": (4.0, ">", 0, "operating temperature"),
+    "r_low_state_ohm": (1800.0, ">", 0, "resistive branch, low-I_C stored state"),
+    "r_high_state_ohm": (900.0, ">", 0, "resistive branch, high-I_C stored state"),
     # ferroelectric (Preisach)
-    "fe_grid_n": (64, "hysteron grid resolution per axis"),
-    "fe_p_s_uC_cm2": (30.0, "saturation polarization"),
-    "fe_v_c_V": (1.2, "coercive voltage"),
-    "fe_sigma_v_V": (0.15, "switching-threshold spread"),
+    "fe_grid_n": (64, ">=", 16, "hysteron grid resolution per axis"),
+    "fe_p_s_uC_cm2": (30.0, ">", 0, "saturation polarization"),
+    "fe_v_c_V": (1.2, ">", 0, "coercive voltage"),
+    "fe_sigma_v_V": (0.15, ">", 0, "switching-threshold spread"),
     # hTron
-    "ht_i_g_crit_uA": (20.0, "gate critical current"),
-    "ht_r_off_kohm": (50.0, "resistive channel resistance"),
+    "ht_i_g_crit_uA": (20.0, ">", 0, "gate critical current"),
+    "ht_r_off_kohm": (50.0, ">", 0, "resistive channel resistance"),
     # TCAM bias
-    "i_rwl_exact_uA": (3.2, "per-cell RWL current, exact mode"),
-    "i_rwl_hd_uA": (5.0, "per-cell RWL current, HD mode"),
-    "i_rbl_on_uA": (40.0, "asserted RBL gate current"),
-    "v_write_V": (2.0, "write voltage"),
-    "t_search_ns": (0.3, "search duration = hTron switching time"),
-    "r_fs_exact_ohm": (900.0, "conducting FeSQUID resistance, exact-mode match"),
+    "i_rwl_exact_uA": (3.2, ">", 0, "per-cell RWL current, exact mode"),
+    "i_rwl_hd_uA": (5.0, ">", 0, "per-cell RWL current, HD mode"),
+    "i_rbl_on_uA": (40.0, ">", 0, "asserted RBL gate current"),
+    "v_write_V": (2.0, ">", 0, "write voltage"),
+    "t_search_ns": (0.3, ">", 0, "search duration = hTron switching time"),
+    "r_fs_exact_ohm": (
+        900.0, ">", 0, "conducting FeSQUID resistance, exact-mode match"
+    ),
     # RCSJ solver
-    "rcsj_beta_c": (0.1, "Stewart-McCumber damping parameter"),
-    "rcsj_n_steps": (1000, "integration steps per Josephson period"),
-    "rcsj_settle_periods": (50, "periods discarded before averaging"),
-    "rcsj_average_periods": (200, "periods averaged (two windows)"),
+    "rcsj_beta_c": (0.1, ">=", 0, "Stewart-McCumber damping parameter"),
+    "rcsj_n_steps": (1000, ">=", 1000, "integration steps per Josephson period"),
+    "rcsj_settle_periods": (50, ">=", 1, "periods discarded before averaging"),
+    "rcsj_average_periods": (200, ">=", 2, "periods averaged (two windows)"),
     # HDC workload
-    "hdc_d_bits": (10000, "hypervector dimension"),
-    "hdc_n_gram": (3, "n-gram length"),
-    "hdc_block_size": (100, "bits per TCAM row segment"),
-    "seed": (1234, "root seed for all randomness"),
-}
-
-_INT_KEYS = {
-    "fe_grid_n",
-    "rcsj_n_steps",
-    "rcsj_settle_periods",
-    "rcsj_average_periods",
-    "hdc_d_bits",
-    "hdc_n_gram",
-    "hdc_block_size",
-    "seed",
+    "hdc_d_bits": (10000, ">=", 8, "hypervector dimension"),
+    "hdc_n_gram": (3, ">", 0, "n-gram length"),
+    "hdc_block_size": (100, ">=", 1, "bits per TCAM row segment"),
+    "seed": (1234, ">=", 0, "root seed for all randomness"),
 }
 
 
@@ -153,7 +147,7 @@ class RunConfig:
 
 
 def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
+    if isinstance(DEFAULTS[key][0], int):
         return int(raw)
     return float(raw)
 
@@ -162,53 +156,12 @@ def validate_values(values: dict) -> list[str]:
     """All constraint violations for a fully populated value dict."""
     v = values
     problems = []
-
-    def positive(key):
-        if v[key] <= 0:
-            problems.append(f"{key} must be > 0, got {v[key]}")
-            return False
-        return True
-
-    for key in (
-        "t_c_base_K",
-        "r_n_ohm",
-        "t_op_K",
-        "r_low_state_ohm",
-        "r_high_state_ohm",
-        "fe_p_s_uC_cm2",
-        "fe_v_c_V",
-        "fe_sigma_v_V",
-        "ht_i_g_crit_uA",
-        "ht_r_off_kohm",
-        "i_rwl_exact_uA",
-        "i_rwl_hd_uA",
-        "i_rbl_on_uA",
-        "v_write_V",
-        "t_search_ns",
-        "r_fs_exact_ohm",
-        "hdc_n_gram",
-    ):
-        positive(key)
-    if v["delta_tc_K"] < 0:
-        problems.append(f"delta_tc_K must be >= 0, got {v['delta_tc_K']}")
-    if v["rcsj_beta_c"] < 0:
-        problems.append(f"rcsj_beta_c must be >= 0, got {v['rcsj_beta_c']}")
-    if v["fe_grid_n"] < 16:
-        problems.append(f"fe_grid_n must be >= 16, got {v['fe_grid_n']}")
-    if v["rcsj_n_steps"] < 1000:
-        problems.append(f"rcsj_n_steps must be >= 1000, got {v['rcsj_n_steps']}")
-    if v["rcsj_settle_periods"] < 1:
-        problems.append(
-            f"rcsj_settle_periods must be >= 1, got {v['rcsj_settle_periods']}"
-        )
-    if v["rcsj_average_periods"] < 2:
-        problems.append(
-            f"rcsj_average_periods must be >= 2, got {v['rcsj_average_periods']}"
-        )
-    if v["hdc_d_bits"] < 8:
-        problems.append(f"hdc_d_bits must be >= 8, got {v['hdc_d_bits']}")
-    if v["hdc_block_size"] < 1:
-        problems.append(f"hdc_block_size must be >= 1, got {v['hdc_block_size']}")
+    for key, (_, op, bound, _) in DEFAULTS.items():
+        x = v[key]
+        if isinstance(x, float) and not math.isfinite(x):
+            problems.append(f"{key} must be finite, got {x}")
+        elif not (x > bound if op == ">" else x >= bound):
+            problems.append(f"{key} must be {op} {bound}, got {x}")
     if problems:
         return problems
 
@@ -237,6 +190,12 @@ def validate_values(values: dict) -> list[str]:
     return problems
 
 
+def split_assignment(text: str) -> tuple[str, str] | None:
+    """``key = value`` split at the first ``=`` and stripped, or None."""
+    key, sep, raw = text.partition("=")
+    return (key.strip(), raw.strip()) if sep else None
+
+
 def _assign(values: dict, key: str, raw, where: str, problems: list):
     """Set ``values[key]`` from ``raw`` or record why not in ``problems``."""
     if key not in DEFAULTS:
@@ -261,7 +220,7 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     malformed lines and numbers (with line numbers), and all constraint
     breaches.
     """
-    values = {k: d for k, (d, _) in DEFAULTS.items()}
+    values = {k: d for k, (d, *_) in DEFAULTS.items()}
     problems = []
     seen = set()
     lines = []
@@ -275,10 +234,11 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
+        pair = split_assignment(stripped)
+        if pair is None:
             problems.append(f"line {lineno}: expected 'key = value'")
             continue
-        key, raw = (part.strip() for part in stripped.split("=", 1))
+        key, raw = pair
         if key in seen:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue

@@ -13,7 +13,7 @@ State is stored per relay, not as a scalar P, so minor-loop behavior
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class PreisachState:
     model: PreisachModel
     relay_up: np.ndarray
     last_v: float
-    _remnant_cache: float | None = field(default=None, repr=False, compare=False)
 
     def clone(self) -> "PreisachState":
         return PreisachState(self.model, self.relay_up.copy(), self.last_v)
@@ -116,10 +115,8 @@ def drive_voltage(state: PreisachState, v: float) -> PreisachState:
     m = state.model
     if v > state.last_v:
         state.relay_up |= m.alpha <= v
-        state._remnant_cache = None
     elif v < state.last_v:
         state.relay_up &= ~(m.beta >= v)
-        state._remnant_cache = None
     state.last_v = v
     return state
 
@@ -148,8 +145,6 @@ def remnant_fraction(state: PreisachState) -> float:
     """Polarization fraction P(v=0)/p_s the state would retain at zero
     field, without mutating it.  Clamped to [-1, 1]: the normalised
     weights of a saturated grid can sum a few ulps past 1."""
-    if state._remnant_cache is not None:
-        return state._remnant_cache
     m = state.model
     up = state.relay_up
     if state.last_v > 0.0:
@@ -159,5 +154,4 @@ def remnant_fraction(state: PreisachState) -> float:
     else:
         up_eff = up
     up_weight = m.weights[up_eff].sum()
-    state._remnant_cache = np.clip(2.0 * up_weight - 1.0, -1.0, 1.0)
-    return state._remnant_cache
+    return np.clip(2.0 * up_weight - 1.0, -1.0, 1.0)

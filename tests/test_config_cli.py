@@ -97,6 +97,24 @@ class TestConfigParsing:
         assert cfg.bias() == BiasConfig()
         assert cfg.htron() == HtronDevice()
 
+    def test_defaults_table_obeys_its_own_rules(self):
+        for key, (default, op, bound, _) in DEFAULTS.items():
+            assert op in (">", ">="), key
+            assert default > bound if op == ">" else default >= bound, key
+        # a key's type is its default's: 650 in place of 650.0 would
+        # silently make r_n_ohm an int key
+        int_keys = {k for k, (d, *_) in DEFAULTS.items() if isinstance(d, int)}
+        assert int_keys == {
+            "fe_grid_n",
+            "rcsj_n_steps",
+            "rcsj_settle_periods",
+            "rcsj_average_periods",
+            "hdc_d_bits",
+            "hdc_n_gram",
+            "hdc_block_size",
+            "seed",
+        }
+
 
 def run_cli(args, tmp_path, name="out"):
     out = tmp_path / name
@@ -445,6 +463,41 @@ class TestCliErrors:
         assert payload["error_category"] == "validation"
         assert message in payload["messages"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("setting", "args", "message"),
+        [
+            ("r_low_state_ohm=nan", ["hdc", "sweep"],
+             "r_low_state_ohm must be finite, got nan"),
+            ("i_rwl_hd_uA=inf", ["hdc", "sweep"],
+             "i_rwl_hd_uA must be finite, got inf"),
+            ("fe_sigma_v_V=inf", ["fe", "sweep"],
+             "fe_sigma_v_V must be finite, got inf"),
+            ("seed=-1", ["hdc", "train"], "seed must be >= 0, got -1"),
+        ],
+        ids=["nan-branch", "inf-hd-bias", "inf-sigma", "negative-seed"],
+    )
+    def test_out_of_range_key_exits_3(
+        self, setting, args, message, tmp_path, capsys
+    ):
+        # NaN or inf energies with exit 0, or a numpy traceback, would
+        # each escape the one JSON error line
+        code, out = run_cli(["--set", setting, *args], tmp_path)
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        assert payload["messages"] == [message]
+        assert not out.exists()
+
+    def test_negative_i_max_names_the_flag(self, tmp_path, capsys):
+        code, out = run_cli(
+            ["device", "iv", "--i-max-uA", "-5", "--points", "3"], tmp_path
+        )
+        assert code == 3
+        assert error_payload(capsys)["messages"] == [
+            "--i-max-uA must be finite and >= 0, got -5.0"
+        ]
+        assert list(out.glob("*.csv")) == []
 
     def test_unconverged_rcsj_exits_4(self, tmp_path, capsys):
         code, _ = run_cli(
