@@ -52,6 +52,7 @@ OUTPUT_DIR_ENV = "CRYOCAM_OUT"
 
 
 def _atomic_write(path: Path, text: str):
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
@@ -106,10 +107,9 @@ def _load_config(args) -> RunConfig:
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "cryocam_out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; the first file written into it creates it,
+    so a run that fails its argument checks leaves none behind."""
+    return Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or "cryocam_out")
 
 
 def _saturated_device(cfg: RunConfig, state: str) -> FeSquidDevice:
@@ -147,11 +147,12 @@ def cmd_device_iv(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 def cmd_fe_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     leg = args.points_per_leg
     v_max = args.v_max_V
-    if not (math.isfinite(v_max) and leg >= 1 and args.cycles >= 0):
-        raise UsageError(
-            "need a finite --v-max-V, --points-per-leg >= 1 and --cycles >= 0, "
-            f"got {v_max}, {leg}, {args.cycles}"
-        )
+    if not math.isfinite(v_max):
+        raise UsageError(f"--v-max-V must be finite, got {v_max}")
+    if leg < 1:
+        raise UsageError(f"--points-per-leg must be >= 1, got {leg}")
+    if args.cycles < 0:
+        raise UsageError(f"--cycles must be >= 0, got {args.cycles}")
     state = cfg.fe_model().initial_state()
     up = np.linspace(-v_max, v_max, leg)
     down = np.linspace(v_max, -v_max, leg)
@@ -265,6 +266,7 @@ def cmd_hdc_train(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     model = train(corpus, d=cfg["hdc_d_bits"], n_gram=cfg["hdc_n_gram"],
                   seed=cfg["seed"])
     model_path = Path(args.model_out) if args.model_out else out_dir / "hdc_model.json"
+    model_path.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, model_path)
     train_acc = accuracy_eval(model, corpus, engine="exact")
     print(
@@ -295,6 +297,9 @@ def cmd_hdc_infer(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_hdc_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
+    for d in args.d:
+        if d < 1:
+            raise UsageError(f"--d must be >= 1, got {d}")
     rows = []
     for d in args.d:
         table = energy_sweep(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,10 @@ from .tcam import (
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 OTHER_SYMBOL = "\x00"  # bucket for anything outside the alphabet
 _SYMBOLS = ALPHABET + OTHER_SYMBOL
-_SYMBOL_IDS = {sym: i for i, sym in enumerate(_SYMBOLS)}
-_OTHER_ID = _SYMBOL_IDS[OTHER_SYMBOL]
+#: Symbol id of each ASCII code point; the last entry (DEL) is outside
+#: the alphabet, so code points clipped to it take the bucket id.
+_ASCII_IDS = np.full(128, _SYMBOLS.index(OTHER_SYMBOL), dtype=np.uint8)
+_ASCII_IDS[[ord(sym) for sym in _SYMBOLS]] = np.arange(len(_SYMBOLS))
 
 #: Fixed SRAM-TCAM reference energy per 10,000-bit comparison at block
 #: size 10, used only as a report column.
@@ -81,11 +84,23 @@ def encode_text(text: str, item: ItemMemory, n_gram: int) -> np.ndarray:
     bucket symbol.  The text is lowercased first, and its n-grams are
     counted on the lowercased text.
 
-    Each distinct n-gram is bound once, from rows of the symbol table
-    rolled by the n-gram offset, and the bundle adds each bound vector
-    weighted by its number of occurrences.  The per-bit counts are the
-    same integers as for one bound row per n-gram position, so the bits
-    are too.
+    The work runs on bytes, in four steps:
+
+    1. symbol ids come from the text's UTF-32 code points through a
+       128-entry ASCII table, code points >= 128 taking the bucket;
+    2. one ``np.lexsort`` of the n-gram windows and a row-change mask
+       give the distinct n-grams and their occurrence counts;
+    3. each distinct n-gram is bound once, by XOR of rows gathered from
+       the symbol table rolled by the n-gram offset and then bit-packed,
+       so a bound row is ceil(D/8) bytes;
+    4. the bound rows, ordered by count, are unpacked once, and each
+       equal-count slice is summed in the narrowest unsigned dtype that
+       holds its row count, then weighted by the count in int64.
+
+    The per-bit counts are the same integers as for one bound row per
+    n-gram position, so the bits are too.  The peak allocation is about
+    1.125 bytes per (distinct n-gram, bit): the packed rows plus their
+    unpacked uint8 copy.
     """
     if n_gram < 1:
         raise DomainError(f"n_gram must be >= 1, got {n_gram}")
@@ -94,16 +109,30 @@ def encode_text(text: str, item: ItemMemory, n_gram: int) -> np.ndarray:
         raise UsageError(
             f"text length {len(text)} is shorter than n_gram {n_gram}"
         )
-    ids = np.array([_SYMBOL_IDS.get(ch, _OTHER_ID) for ch in text], dtype=np.uint8)
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    ids = _ASCII_IDS[np.minimum(points, len(_ASCII_IDS) - 1)]
     windows = sliding_window_view(ids, n_gram)
-    grams, counts = np.unique(windows, axis=0, return_counts=True)
+    windows = windows[np.lexsort(windows.T)]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (windows[1:] != windows[:-1]).any(axis=1)))
+    )
+    counts = np.diff(starts, append=len(windows))
+    by_count = np.argsort(counts)
+    grams, counts = windows[starts[by_count]], counts[by_count]
     table = np.stack([item.vectors[sym] for sym in _SYMBOLS])
-    bound = table[grams[:, 0]]
+    bound = np.packbits(table, axis=1)[grams[:, 0]]
     for k in range(1, n_gram):
-        bound ^= np.roll(table, k, axis=1)[grams[:, k]]
+        bound ^= np.packbits(np.roll(table, k, axis=1), axis=1)[grams[:, k]]
+    rows = np.unpackbits(bound, axis=1, count=item.d)
+    weights, first = np.unique(counts, return_index=True)
+    edges = [*first.tolist(), len(counts)]
     ones = np.zeros(item.d, dtype=np.int64)
-    for w in np.unique(counts).tolist():
-        ones += w * np.add.reduce(bound[counts == w], axis=0, dtype=np.int64)
+    for w, lo, hi in zip(weights.tolist(), edges, edges[1:]):
+        # an explicit int64 product: w * uint8 stays uint8 and wraps
+        narrow = np.min_scalar_type(hi - lo)
+        ones += np.multiply(
+            np.add.reduce(rows[lo:hi], axis=0, dtype=narrow), w, dtype=np.int64
+        )
     return _majority(ones, len(windows), item.tie_break)
 
 
@@ -316,20 +345,21 @@ def synthetic_corpus(
     n = len(letters)
     corpus = {}
     for ci in range(n_classes):
+        # plain lists, stepped with bisect_left (np.searchsorted's default
+        # side="left"), keep numpy calls out of the per-character loop
         successors = np.stack(
             [rng.choice(n, size=4, replace=False) for _ in range(n)]
-        )
+        ).tolist()
         weights = rng.random((n, 4))
         weights /= weights.sum(axis=1, keepdims=True)
-        cumulative = np.cumsum(weights, axis=1)
+        cumulative = np.cumsum(weights, axis=1).tolist()
         texts = []
         for _ in range(texts_per_class):
             state = int(rng.integers(n))
-            draws = rng.random(text_len)
             chars = []
-            for u in draws:
+            for u in rng.random(text_len).tolist():
                 chars.append(letters[state])
-                state = int(successors[state][np.searchsorted(cumulative[state], u)])
+                state = successors[state][bisect_left(cumulative[state], u)]
             texts.append("".join(chars))
         corpus[f"lang{ci:02d}"] = texts
     return corpus

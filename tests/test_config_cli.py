@@ -489,6 +489,27 @@ class TestCliErrors:
         assert payload["messages"] == [message]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            (["device", "iv", "--points", "0"], "--points must be >= 1, got 0"),
+            (["hdc", "sweep", "--d", "0"], "--d must be >= 1, got 0"),
+            (["hdc", "sweep", "--d", "10000", "-5"], "--d must be >= 1, got -5"),
+            (["fe", "sweep", "--v-max-V", "nan"], "--v-max-V must be finite, got nan"),
+            (["fe", "sweep", "--points-per-leg", "0"],
+             "--points-per-leg must be >= 1, got 0"),
+            (["fe", "sweep", "--cycles", "-1"], "--cycles must be >= 0, got -1"),
+        ],
+        ids=["points", "d-zero", "d-negative", "v-max", "points-per-leg", "cycles"],
+    )
+    def test_bad_flag_is_named_and_leaves_no_output_dir(
+        self, args, message, tmp_path, capsys
+    ):
+        code, out = run_cli(args, tmp_path)
+        assert code == 3
+        assert error_payload(capsys)["messages"] == [message]
+        assert not out.exists()
+
     def test_negative_i_max_names_the_flag(self, tmp_path, capsys):
         code, out = run_cli(
             ["device", "iv", "--i-max-uA", "-5", "--points", "3"], tmp_path

@@ -359,10 +359,42 @@ class TestSyntheticCorpus:
         assert all(len(texts) == 24 for texts in corpus.values())
         assert all(len(t) == 1500 for texts in corpus.values() for t in texts)
 
+    @pytest.mark.parametrize(
+        "sizes", [(21, 2, 1000, 5), (3, 20, 2000, 0), (2, 3, 1, 9)]
+    )
+    def test_equals_per_character_searchsorted_walk(self, sizes):
+        assert synthetic_corpus(*sizes) == _synthetic_corpus_ref(*sizes)
+
     def test_distinct_seeds_distinct_texts(self):
         a = synthetic_corpus(1, 1, 300, seed=1)
         b = synthetic_corpus(1, 1, 300, seed=2)
         assert a["lang00"][0] != b["lang00"][0]
+
+
+def _synthetic_corpus_ref(n_classes, texts_per_class, text_len, seed):
+    """Per-character reference: one np.searchsorted and two numpy
+    indexings per Markov step, drawing the same numbers in the same order."""
+    rng = np.random.default_rng(seed)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    n = len(letters)
+    corpus = {}
+    for ci in range(n_classes):
+        successors = np.stack(
+            [rng.choice(n, size=4, replace=False) for _ in range(n)]
+        )
+        weights = rng.random((n, 4))
+        weights /= weights.sum(axis=1, keepdims=True)
+        cumulative = np.cumsum(weights, axis=1)
+        texts = []
+        for _ in range(texts_per_class):
+            state = int(rng.integers(n))
+            chars = []
+            for u in rng.random(text_len):
+                chars.append(letters[state])
+                state = int(successors[state][np.searchsorted(cumulative[state], u)])
+            texts.append("".join(chars))
+        corpus[f"lang{ci:02d}"] = texts
+    return corpus
 
 
 def _encode_text_ref(text, item, n_gram):
@@ -454,6 +486,40 @@ class TestAgainstScalarReference:
         assert len(calls) <= block + 1
         assert len(set(calls)) == len(calls)
         assert distances == infer_exact(m, q)[1]
+
+    @pytest.mark.parametrize(
+        ("text", "d", "n_gram"),
+        [
+            ("the quick brown fox jumps", 1001, 3),
+            ("the quick brown fox jumps", 8, 3),
+            ("Été à İstanbul, straße \ud800 ok", D, 3),
+            ("\ud800" * 4 + "ßé", 1001, 2),
+            # one count group of ~2,000 rows: the reduce widens past uint8
+            ("".join(np.random.default_rng(14).choice(list("abcdefghij"), 2000)), D, 5),
+            # one n-gram of weight 2,998: weight times sum exceeds uint8
+            ("a" * 3000, D, 3),
+        ],
+        ids=["d1001", "d8", "non-ascii", "lone-surrogate", "wide-group", "heavy-weight"],
+    )
+    def test_encoding_edge_cases_equal_rolled_rows(self, text, d, n_gram):
+        item = ItemMemory(d, SEED)
+        assert np.array_equal(
+            encode_text(text, item, n_gram), _encode_text_ref(text, item, n_gram)
+        )
+
+    def test_all_distinct_encoding_memory(self):
+        # nearly every trigram distinct: the peak is the packed rows plus
+        # one unpacked uint8 copy, ~1.125 bytes per (n-gram, bit)
+        rng = np.random.default_rng(15)
+        text = "".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), 2000))
+        item = ItemMemory(10000, SEED)
+        tracemalloc.start()
+        try:
+            encode_text(text, item, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
     def test_encoding_memory_is_bounded(self):
         text = synthetic_corpus(1, 1, 2000, seed=5)["lang00"][0]
