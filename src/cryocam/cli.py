@@ -51,8 +51,19 @@ from .tcam import (
 OUTPUT_DIR_ENV = "CRYOCAM_OUT"
 
 
+def _make_dir(path: Path):
+    """Create ``path`` and its parents; a path that is a file, or lies
+    under one, is a usage error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(
+            f"cannot create output directory {path}: {exc.strerror}"
+        ) from exc
+
+
 def _atomic_write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(path.parent)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
@@ -266,7 +277,7 @@ def cmd_hdc_train(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     model = train(corpus, d=cfg["hdc_d_bits"], n_gram=cfg["hdc_n_gram"],
                   seed=cfg["seed"])
     model_path = Path(args.model_out) if args.model_out else out_dir / "hdc_model.json"
-    model_path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(model_path.parent)
     save_model(model, model_path)
     train_acc = accuracy_eval(model, corpus, engine="exact")
     print(

@@ -58,8 +58,10 @@ DEFAULTS = {
     # RCSJ solver
     "rcsj_beta_c": (0.1, ">=", 0, "Stewart-McCumber damping parameter"),
     "rcsj_n_steps": (1000, ">=", 1000, "integration steps per Josephson period"),
-    "rcsj_settle_periods": (50, ">=", 1, "periods discarded before averaging"),
-    "rcsj_average_periods": (200, ">=", 2, "periods averaged (two windows)"),
+    "rcsj_settle_periods": (1, ">=", 1, "periods stepped before cycles are timed"),
+    "rcsj_average_periods": (
+        200, ">=", 2, "a point steps at most 4.5x this many periods after settling"
+    ),
     # HDC workload
     "hdc_d_bits": (10000, ">=", 8, "hypervector dimension"),
     "hdc_n_gram": (3, ">", 0, "n-gram length"),

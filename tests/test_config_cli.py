@@ -7,6 +7,7 @@ import pytest
 from cryocam.cli import main
 from cryocam.config import DEFAULTS, build_config, parse_config
 from cryocam.errors import ConfigError
+from cryocam.fesquid import RcsjParams
 from cryocam.hdc import save_model, synthetic_corpus, train
 from cryocam.htron import HtronDevice
 from cryocam.tcam import BiasConfig
@@ -96,6 +97,10 @@ class TestConfigParsing:
         cfg = build_config()
         assert cfg.bias() == BiasConfig()
         assert cfg.htron() == HtronDevice()
+
+    def test_default_config_builds_default_rcsj_params(self):
+        # the RCSJ defaults are declared twice, in DEFAULTS and RcsjParams
+        assert build_config().rcsj() == RcsjParams()
 
     def test_defaults_table_obeys_its_own_rules(self):
         for key, (default, op, bound, _) in DEFAULTS.items():
@@ -530,9 +535,36 @@ class TestCliErrors:
         assert code == 4
         payload = error_payload(capsys)
         assert payload["error_category"] == "numeric"
-        (message,) = payload["messages"]
-        assert "window means" in message
-        assert "relative change 0.353 > 0.001" in message
+        # the running point at 1.6 I_C still relaxes on a beta_c timescale
+        # and spends its 4.5 x 2 periods of steps before two periods agree
+        assert payload["messages"] == [
+            "time-average not converged at i=6.7e-06 A (i/I_C=1.6): 6 periods "
+            "stepped within the budget of 9000 steps, last relative change "
+            "0.0535 (tolerance 1e-07)"
+        ]
+
+    def test_out_naming_a_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("keep\n")
+        code = main(["--out", str(path), "tcam", "calibrate"])
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        assert payload["messages"] == [
+            f"cannot create output directory {path}: File exists"
+        ]
+        assert path.read_text() == "keep\n"
+
+    def test_out_under_a_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("keep\n")
+        code = main(["--out", str(path / "x"), "tcam", "calibrate"])
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        assert payload["messages"] == [
+            f"cannot create output directory {path / 'x'}: Not a directory"
+        ]
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

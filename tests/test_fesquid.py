@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cryocam import fesquid
 from cryocam.device_physics import SuperconductorParams
@@ -223,12 +225,53 @@ def _advance_ref(phi, u, i, beta_c, h, max_steps, target=math.inf):
     return phi, u, theta, False
 
 
-def _outcome(dev, i_points, params):
-    """Bit patterns of the I-V voltages, or the convergence error text."""
-    try:
-        return [v.hex() for v in simulate_rcsj_iv(dev, i_points, params).v_avg]
-    except NumericError as exc:
-        return str(exc)
+def _simulate_windows_ref(dev, i_points, params):
+    """Window-averaging reference solver: every step of a settle window,
+    a pilot of average_periods / 2 periods whose net drift below 1e-6
+    reads as locked, then two averaging windows of whole cycles whose
+    means must agree to 1e-3.  Returns the normalized <phi'> per point."""
+    i_c = critical_current(dev)
+    out = []
+    phi, u = 0.0, 0.0
+    half_avg = params.average_periods // 2
+    for i_abs in i_points:
+        i = i_abs / i_c
+        phi = math.fmod(phi, 2.0 * math.pi)
+        omega_est = math.sqrt(max(i * i - 1.0, 0.0625))
+        h = (2.0 * math.pi / omega_est) / params.n_steps
+        phi, u, _, _ = _advance_ref(
+            phi, u, i, params.beta_c, h, params.n_steps * params.settle_periods
+        )
+        pilot_steps = params.n_steps * half_avg
+        phi0 = phi
+        phi, u, _, _ = _advance_ref(phi, u, i, params.beta_c, h, pilot_steps)
+        omega_meas = (phi - phi0) / (h * pilot_steps)
+        if abs(omega_meas) < 1e-6:
+            out.append(0.0)
+            continue
+        cycles = max(1, round(half_avg * abs(omega_meas) / omega_est))
+        means = []
+        for _ in range(2):
+            target = phi + cycles * 2.0 * math.pi
+            phi, u, theta, crossed = _advance_ref(
+                phi, u, i, params.beta_c, h, 4 * params.n_steps * half_avg, target
+            )
+            if not crossed:
+                raise NumericError("phase did not complete its cycles")
+            means.append(cycles * 2.0 * math.pi / theta)
+        if abs(means[1] - means[0]) / abs(means[1]) > 1e-3:
+            raise NumericError("window means disagree")
+        out.append(0.5 * (means[0] + means[1]))
+    return out
+
+
+# Largest relative gap allowed between a running point's whole-cycle
+# voltage and the window-averaged reference.  Over the cases below the
+# largest measured gap is 8.6e-7 (beta_c 0.1, 5-period windows).  One
+# period's crossing, interpolated linearly within a step, carries a bias
+# that multi-cycle windows divide away: at default settings the gap
+# reaches 2.6e-6 at beta_c 0.1 and i = 1.05 I_C.
+REFERENCE_RTOL = 2e-6
 
 
 class TestRcsjFixedPointExit:
@@ -239,7 +282,7 @@ class TestRcsjFixedPointExit:
     @pytest.mark.parametrize("beta_c", [0.0, 0.1, 25.0])
     @pytest.mark.parametrize("sign", [-1, +1], ids=["high", "low"])
     def test_matches_every_step_reference(
-        self, fe_model, monkeypatch, sign, beta_c, sweep, periods
+        self, fe_model, sign, beta_c, sweep, periods
     ):
         dev = make_device(fe_model, sign)
         i_c = critical_current(dev)
@@ -247,10 +290,22 @@ class TestRcsjFixedPointExit:
         params = RcsjParams(
             beta_c=beta_c, settle_periods=periods[0], average_periods=periods[1]
         )
-        with monkeypatch.context() as patch:
-            patch.setattr(fesquid, "_advance", _advance_ref)
-            expected = _outcome(dev, i_points, params)
-        assert _outcome(dev, i_points, params) == expected
+        try:
+            expected = _simulate_windows_ref(dev, i_points, params)
+        except NumericError:
+            # at beta_c 25 the reference's short windows fail, and a running
+            # point needs more than this step budget to settle its period
+            with pytest.raises(
+                NumericError, match=r"i/I_C=1\.[36]\): \d+ periods stepped"
+            ):
+                simulate_rcsj_iv(dev, i_points, params)
+            return
+        got = simulate_rcsj_iv(dev, i_points, params).v_avg / (i_c * dev.sc.r_n)
+        for v, ref in zip(got, expected):
+            if ref == 0.0:
+                assert v == 0.0
+            else:
+                assert v == pytest.approx(ref, rel=REFERENCE_RTOL)
 
     @pytest.mark.parametrize(
         ("phi", "u", "beta_c"),
@@ -263,18 +318,22 @@ class TestRcsjFixedPointExit:
         ref = _advance_ref(phi, u, 0.0, beta_c, 1e-3, 10)
         assert [x.hex() for x in got[:2]] == [x.hex() for x in ref[:2]]
 
-    def test_locked_points_stop_early(self, fe_model, monkeypatch):
-        dev = make_device(fe_model, -1)
-        i_c = critical_current(dev)
-        calls = 0
+    @staticmethod
+    def _count_sin(monkeypatch):
+        calls = [0]
         real_sin = math.sin
 
         def counting_sin(x):
-            nonlocal calls
-            calls += 1
+            calls[0] += 1
             return real_sin(x)
 
         monkeypatch.setattr(math, "sin", counting_sin)
+        return calls
+
+    def test_locked_points_stop_early(self, fe_model, monkeypatch):
+        dev = make_device(fe_model, -1)
+        i_c = critical_current(dev)
+        calls = self._count_sin(monkeypatch)
         params = RcsjParams()
         curve = simulate_rcsj_iv(dev, [0.0, 0.5 * i_c], params)
         assert list(curve.v_avg) == [0.0, 0.0]
@@ -282,15 +341,92 @@ class TestRcsjFixedPointExit:
             4 * 2 * params.n_steps
             * (params.settle_periods + params.average_periods // 2)
         )
-        assert calls < 0.05 * every_step
+        assert calls[0] < 0.05 * every_step
 
-    def test_unconverged_phase_reports_cycles(self, fe_model):
-        # at beta_c = 25 a locked point still rings after one settle period,
-        # so the pilot reads it as running and the window never closes
+    def test_running_points_stop_early(self, fe_model, monkeypatch):
+        dev = make_device(fe_model, -1)
+        i_c = critical_current(dev)
+        calls = self._count_sin(monkeypatch)
+        params = RcsjParams()
+        curve = simulate_rcsj_iv(dev, [1.5 * i_c], params)
+        assert curve.v_avg[0] > 0.0
+        # fixed windows step 50 settle periods, a 100-period pilot and two
+        # averaging windows of about 100 periods each, 4 sin() per step
+        every_step = 4 * params.n_steps * (50 + 100 + 200)
+        assert calls[0] < 0.05 * every_step
+
+    @pytest.mark.parametrize("beta_c", [0.0, 0.1])
+    def test_critical_current_exactly_is_locked(self, fe_model, beta_c):
+        # at i = I_C the barrier and the well merge: no energy bound holds,
+        # and the phase creeps onto the equilibrium without closing a cycle
+        dev = make_device(fe_model, -1)
+        i_c = critical_current(dev)
+        params = RcsjParams(beta_c=beta_c, average_periods=20)
+        assert list(simulate_rcsj_iv(dev, [i_c], params).v_avg) == [0.0]
+
+    def test_heavily_underdamped_running_point_converges(self, fe_model):
+        # beta_c 100 relaxes over ~250 cycles; the running branch then sits
+        # close to V = I * R_n
+        dev = make_device(fe_model, -1)
+        i_c = critical_current(dev)
+        curve = simulate_rcsj_iv(dev, [1.3 * i_c], RcsjParams(beta_c=100.0))
+        assert curve.v_avg[0] == pytest.approx(1.3 * i_c * dev.sc.r_n, rel=1e-3)
+
+    def test_locked_point_hands_on_a_settled_state(self, fe_model):
+        # at beta_c 100, a junction at rest in its 0.5 I_C well overshoots
+        # the barrier when the bias steps to 0.9 I_C and runs, as the window
+        # solver found; one still ringing from its settle period would not
+        dev = make_device(fe_model, -1)
+        i_c = critical_current(dev)
+        params = RcsjParams(beta_c=100.0, average_periods=20)
+        v = simulate_rcsj_iv(dev, [0.5 * i_c, 0.9 * i_c], params).v_avg
+        assert v[0] == 0.0
+        assert v[1] > 0.8 * i_c * dev.sc.r_n
+
+    def test_ringing_locked_point_is_zero(self, fe_model):
+        # at beta_c = 25 a locked point still rings after one settle period;
+        # its energy is below the next barrier top, so it is locked
         dev = make_device(fe_model, -1)
         i_c = critical_current(dev)
         params = RcsjParams(beta_c=25.0, settle_periods=1, average_periods=2)
-        with pytest.raises(
-            NumericError, match=r"phase advanced only -0\.0275 of 1 cycles"
-        ):
-            simulate_rcsj_iv(dev, [0.5 * i_c], params)
+        assert list(simulate_rcsj_iv(dev, [0.5 * i_c], params).v_avg) == [0.0]
+
+    def test_retrapped_point_is_locked(self, fe_model):
+        # running at 1.6 I_C, then at 0.1 I_C the junction closes two more
+        # cycles before a well traps it; its ringdown outlasts the budget,
+        # so only the energy bound can call it locked
+        dev = make_device(fe_model, -1)
+        i_c = critical_current(dev)
+        params = RcsjParams(beta_c=25.0, average_periods=20)
+        v = simulate_rcsj_iv(dev, [1.6 * i_c, 0.1 * i_c], params).v_avg
+        assert v[0] > 0.0
+        assert v[1] == 0.0
+
+    def test_trapped_needs_energy_below_the_next_barrier(self):
+        i = 0.5
+        top = math.pi - math.asin(i)
+        # at rest just short of the top, and just past it (into the next well)
+        assert fesquid._trapped(top - 1e-6, 0.0, i, 25.0)
+        assert not fesquid._trapped(top + 1e-6, 0.0, i, 25.0)
+        # the same phase, moving fast enough to climb over the top
+        assert not fesquid._trapped(top - 1.0, 1.0, i, 25.0)
+        # overdamped, the energy is the potential alone
+        assert fesquid._trapped(0.0, 5.0, i, 0.0)
+        # no barrier at or above I_C
+        assert not fesquid._trapped(0.0, 0.0, 1.0, 0.1)
+        assert not fesquid._trapped(0.0, 0.0, 1.0, 0.0)
+
+
+class TestRcsjProperties:
+    @given(x=st.floats(min_value=0.0, max_value=3.0))
+    def test_overdamped_branch(self, fe_model, x):
+        # just above I_C the period outgrows the step budget; no claim there
+        assume(x <= 1.0 or x >= 1.05)
+        dev = make_device(fe_model, -1)
+        i_c = critical_current(dev)
+        (v,) = simulate_rcsj_iv(dev, [x * i_c], RcsjParams(beta_c=0.0)).v_avg
+        if x <= 1.0:
+            assert v == 0.0
+        else:
+            oracle = dev.sc.r_n * i_c * math.sqrt(x * x - 1.0)
+            assert abs(v - oracle) <= 0.01 * oracle
