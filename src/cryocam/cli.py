@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage, 3 validation failure, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -43,8 +44,7 @@ from .tcam import (
     SearchKey,
     calibrated_bias,
     exact_energy_averages,
-    search_exact,
-    search_hd,
+    search_keys,
     store_word,
 )
 
@@ -208,12 +208,13 @@ def cmd_tcam_search(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     array = cfg.make_array(len(words), width)
     for r, word in enumerate(words):
         store_word(array, r, word)
-    search = search_exact if args.mode == "exact" else search_hd
+    keys = [SearchKey(key) for key in keys]
+    results = search_keys(array, keys, hd=args.mode == "hd")
     rows = []
-    for key in keys:
-        for r, res in enumerate(search(array, SearchKey(key))):
+    for k, key in enumerate(keys):
+        for r, res in enumerate(results.rows(k)):
             rows.append(
-                [key, r, res.v_ml * 1e3, res.n_match, res.power * 1e9,
+                [key.trits, r, res.v_ml * 1e3, res.n_match, res.power * 1e9,
                  res.energy * 1e18]
             )
     return [
@@ -353,7 +354,10 @@ def cmd_hdc_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     ]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call of a process
+    and reused by later ones (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="cryocam",
         description="Cryogenic FeSQUID/hTron TCAM simulator",

@@ -53,13 +53,26 @@ class ItemMemory:
         self.d = int(d)
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
-        self.vectors = {
-            sym: rng.integers(0, 2, size=self.d, dtype=np.uint8) for sym in _SYMBOLS
-        }
+        self._table = np.stack(
+            [rng.integers(0, 2, size=self.d, dtype=np.uint8) for _ in _SYMBOLS]
+        )
+        self.vectors = dict(zip(_SYMBOLS, self._table))
         self.tie_break = rng.integers(0, 2, size=self.d, dtype=np.uint8)
+        self._packed_rolls = {}
 
     def vector(self, symbol: str) -> np.ndarray:
         return self.vectors.get(symbol, self.vectors[OTHER_SYMBOL])
+
+    def packed_roll(self, k: int) -> np.ndarray:
+        """The symbol vectors, in symbol-id order, each rolled by ``k``
+        bits and bit-packed: a read-only (symbols, ceil(D/8)) uint8 table,
+        made on the first request for ``k`` and kept for later ones."""
+        table = self._packed_rolls.get(k)
+        if table is None:
+            table = np.packbits(np.roll(self._table, k, axis=1), axis=1)
+            table.flags.writeable = False
+            table = self._packed_rolls.setdefault(k, table)
+        return table
 
 
 def majority_bundle(vectors: np.ndarray, tie_break: np.ndarray) -> np.ndarray:
@@ -91,8 +104,9 @@ def encode_text(text: str, item: ItemMemory, n_gram: int) -> np.ndarray:
     2. one ``np.lexsort`` of the n-gram windows and a row-change mask
        give the distinct n-grams and their occurrence counts;
     3. each distinct n-gram is bound once, by XOR of rows gathered from
-       the symbol table rolled by the n-gram offset and then bit-packed,
-       so a bound row is ceil(D/8) bytes;
+       the item memory's bit-packed symbol table rolled by the n-gram
+       offset (``ItemMemory.packed_roll``, made once per offset), so a
+       bound row is ceil(D/8) bytes;
     4. the bound rows, ordered by count, are unpacked once, and each
        equal-count slice is summed in the narrowest unsigned dtype that
        holds its row count, then weighted by the count in int64.
@@ -119,10 +133,9 @@ def encode_text(text: str, item: ItemMemory, n_gram: int) -> np.ndarray:
     counts = np.diff(starts, append=len(windows))
     by_count = np.argsort(counts)
     grams, counts = windows[starts[by_count]], counts[by_count]
-    table = np.stack([item.vectors[sym] for sym in _SYMBOLS])
-    bound = np.packbits(table, axis=1)[grams[:, 0]]
+    bound = item.packed_roll(0)[grams[:, 0]]
     for k in range(1, n_gram):
-        bound ^= np.packbits(np.roll(table, k, axis=1), axis=1)[grams[:, k]]
+        bound ^= item.packed_roll(k)[grams[:, k]]
     rows = np.unpackbits(bound, axis=1, count=item.d)
     weights, first = np.unique(counts, return_index=True)
     edges = [*first.tolist(), len(counts)]

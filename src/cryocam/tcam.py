@@ -35,6 +35,8 @@ from .ferroelectric import (
 from .htron import HtronDevice
 
 TRITS = ("0", "1", "d")
+#: The trit that leaves fs1's branch open (0) and fs2's (1), by branch.
+_OPENING_TRITS = np.frombuffer(b"01", dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -89,15 +91,17 @@ class TcamArray:
     state table (``_state_table``): every Preisach state the V/2 write
     voltages can reach, with remnants and pulse maps.  By wipe-out it is
     short (6 states at the defaults) and complete once the array is
-    built, so writes and searches only read it, and the write voltage is
-    fixed then.  Fresh devices (id 0) sit at negative saturation settled
-    at 0 V.
+    built, so writes and searches only read it.  The write voltage, the
+    superconductor, ``t_op`` and with them each state's critical current
+    (``_i_c``) and the I_C window are fixed then.  Fresh devices (id 0)
+    sit at negative saturation settled at 0 V.
 
     Searches read the row record ``bias``, which holds every branch
-    resistance and the search time, and the gate threshold of the one
-    ``htron`` record all access switches share.  Searches are pure, so
-    they may run concurrently; a write needs exclusive access to the
-    whole array (the V/2 scheme touches an entire row and column).
+    resistance, the bias currents and the search time, and the gate
+    threshold of the one ``htron`` record all access switches share.
+    Searches are pure, so they may run concurrently; a write needs
+    exclusive access to the whole array (the V/2 scheme touches an entire
+    row and column).
     """
 
     def __init__(
@@ -131,6 +135,10 @@ class TcamArray:
         self._v_write = bias.v_write  # the voltage the state table holds
         self._states, self._remnants, self._pulse = _state_table(
             self.fe_model, bias.v_write
+        )
+        self._window = critical_window(self.sc, t_op)
+        self._i_c = np.array(
+            [critical_current_at(p, self.sc, t_op) for p in self._remnants]
         )
         self.ids = np.zeros((rows, cols, 2), dtype=np.int32)
 
@@ -294,77 +302,124 @@ def hd_bias_problem(i_rwl: float, window: tuple[float, float]) -> str | None:
     )
 
 
-def _search(array: TcamArray, key: SearchKey, hd: bool) -> list[MatchLineResult]:
-    """Both modes' resistive row solve, a pure function of the stored
-    states and the key.
+@dataclass(frozen=True)
+class SearchResults:
+    """Every row's match line under each of K keys, as (K, rows) arrays."""
+
+    v_ml: np.ndarray  # V
+    n_match: np.ndarray  # matched-bit count (non-d positions)
+    power: np.ndarray  # W, total RWL current times v_ml
+    energy: np.ndarray  # J, power times t_search
+
+    def rows(self, k: int) -> list[MatchLineResult]:
+        """The row results of key ``k``."""
+        return list(
+            map(
+                MatchLineResult,
+                self.v_ml[k].tolist(),
+                self.n_match[k].tolist(),
+                self.power[k].tolist(),
+                self.energy[k].tolist(),
+            )
+        )
+
+
+def _row_conductance(n_bits, n_gated, n_low, r_low, r_high, r_gate):
+    """Conductance of a row of ``n_bits`` cells whose 2 * n_bits branches
+    are ``n_gated`` gate-driven ones (r_gate) and open ones: ``n_low`` of
+    them in the low-I_C state (r_low), the rest in the high-I_C state
+    (r_high).  The one row relation that searches, the HD closed form and
+    its inverse share; counts may be arrays of integers."""
+    return n_gated / r_gate + n_low / r_low + (2 * n_bits - n_gated - n_low) / r_high
+
+
+def search_keys(array: TcamArray, keys, hd: bool) -> SearchResults:
+    """Both modes' resistive row solve for a sequence of SearchKeys at
+    once, a pure function of the stored states and the keys.
 
     The key sets the gates: search 1 drives ht1, 0 drives ht2, d both,
     and the gate rule, checked first, makes every driven hTron switch, so
-    a driven branch is an r_gate resistor.  A branch whose gate stays off
-    conducts through its FeSQUID: in exact mode at r_fs_exact above I_C
-    (below it the ML is shorted), in HD mode at r_match or r_mismatch by
-    stored state.  Each verdict is taken once per distinct device state, then
-    gathered per device.  Conductances add branch by branch in column
-    order (a sequential accumulate, not a pairwise sum); this sum is the
-    reference the HD closed form is tested against.
+    a driven branch is an r_gate resistor.  A 0/1 trit leaves one branch
+    open, fs1's for a 0 and fs2's for a 1; a d trit leaves none.  So a row
+    is fixed by counts over its open branches, each read through the
+    state table: in HD mode how many have a remnant >= 0 (r_match; the
+    rest conduct at r_mismatch), in exact mode whether any has
+    I_C >= I_RWL (it shorts the ML; else all conduct at r_fs_exact).
+    Counts are over open branches, not stored bits: a fresh cell reads
+    stored 1 with both devices at negative remnant.  ``n_match`` alone
+    counts stored bits: the non-d trits equal to the bit fs1 holds.
+
+    One product of the keys' (K, 2C) open-branch matrix with the rows'
+    per-branch state flags gives every count; ``_row_conductance`` and
+    ``search_energy`` turn them into the (K, rows) record.
     """
-    if len(key) != array.cols:
-        raise UsageError(f"key length {len(key)} != array width {array.cols}")
-    if hd and key.has_dont_care:
-        raise UnsupportedModeError(
-            "HD mode does not support don't-care trits; use exact mode"
-        )
+    cols = array.cols
+    for key in keys:
+        if len(key) != cols:
+            raise UsageError(f"key length {len(key)} != array width {cols}")
+        if hd and key.has_dont_care:
+            raise UnsupportedModeError(
+                "HD mode does not support don't-care trits; use exact mode"
+            )
     bias = array.bias
-    window = critical_window(array.sc, array.t_op)
     i_rwl = bias.i_rwl_hd if hd else bias.i_rwl_exact
     window_problem = hd_bias_problem if hd else exact_bias_problem
-    problem = window_problem(i_rwl, window) or gate_problem(
+    problem = window_problem(i_rwl, array._window) or gate_problem(
         bias.i_rbl_on, array.htron.i_g_crit
     )
     if problem:
         raise ConfigError(problem)
 
-    trits = np.frombuffer(key.trits.encode(), dtype=np.uint8)
-    gates = np.stack((trits != ord("0"), trits != ord("1")), axis=1)
-
+    n_keys, rows = len(keys), array.rows
+    trits = np.frombuffer("".join(k.trits for k in keys).encode(), dtype=np.uint8)
+    # (K, C, 2) in the (col, branch) order of ids: 1 where a branch is open
+    opens = (trits.reshape(n_keys, cols, 1) == _OPENING_TRITS).astype(np.float64)
     remnants = array._remnants
+    # a 0/1 flag per state: HD counts the low-I_C states (remnant >= 0),
+    # exact mode the states whose I_C >= I_RWL shorts the ML
+    flags = (remnants >= 0.0 if hd else ~(i_rwl > array._i_c)).astype(np.float64)
+    stored_one = (remnants < 0.0).astype(np.float64).take(array.ids[:, :, 0])
+    # float64 sums of 0/1 products are exact integers below 2**53
+    n_flagged = opens.reshape(n_keys, -1) @ (
+        flags.take(array.ids).reshape(rows, -1).T
+    )
+    key_zeros, key_ones = opens[:, :, 0], opens[:, :, 1]
+    n_match = key_zeros.sum(axis=1, keepdims=True) + (key_ones - key_zeros) @ (
+        stored_one.T
+    )
+
+    total_i = cols * i_rwl
     if hd:
-        shorts = np.zeros(remnants.size, dtype=bool)
-        g_state = np.where(remnants >= 0.0, 1.0 / bias.r_match, 1.0 / bias.r_mismatch)
+        g = _row_conductance(
+            cols, cols, n_flagged, bias.r_match, bias.r_mismatch, bias.r_gate
+        )
+        v_ml = total_i / g
     else:
-        i_c = [critical_current_at(p, array.sc, array.t_op) for p in remnants]
-        shorts = ~(i_rwl > np.array(i_c))
-        g_state = np.where(shorts, 0.0, 1.0 / bias.r_fs_exact)
-    ids = array.ids
-    g = np.where(gates, 1.0 / bias.r_gate, g_state[ids])
-    g_rows = np.add.accumulate(g.reshape(array.rows, -1), axis=1)[:, -1]
-    shorted = (shorts[ids] & ~gates).any(axis=(1, 2))
-
-    stored = remnants[ids[:, :, 0]] < 0.0
-    matched = (stored == (trits == ord("1"))) & (trits != ord("d"))
-    n_matches = matched.sum(axis=1)
-
-    total_i = array.cols * i_rwl
-    results = []
-    for g_row, short, n_match in zip(
-        g_rows.tolist(), shorted.tolist(), n_matches.tolist()
-    ):
-        v_ml = 0.0 if short else total_i / g_row
-        power = total_i * v_ml
-        results.append(MatchLineResult(v_ml, n_match, power, power * bias.t_search))
-    return results
+        # every open branch conducts at r_fs_exact unless the row shorts
+        n_open = opens.sum(axis=(1, 2))[:, None]
+        g = _row_conductance(
+            cols, 2 * cols - n_open, n_open, bias.r_fs_exact, bias.r_fs_exact,
+            bias.r_gate,
+        )
+        v_ml = np.where(n_flagged > 0.0, 0.0, total_i / g)
+    return SearchResults(
+        v_ml,
+        n_match.astype(np.int64),
+        total_i * v_ml,
+        search_energy(v_ml, cols, i_rwl, bias.t_search),
+    )
 
 
 def search_exact(array: TcamArray, key: SearchKey) -> list[MatchLineResult]:
     """Exact-search all rows; v_ml is 0 exactly iff any non-d trit
     mismatches the stored bit (a superconducting branch shorts the ML)."""
-    return _search(array, key, hd=False)
+    return search_keys(array, [key], hd=False).rows(0)
 
 
 def search_hd(array: TcamArray, key: SearchKey) -> list[MatchLineResult]:
     """Hamming-distance search: every cell is resistive and the analog ML
     voltage encodes the matched-bit count (strictly increasing in it)."""
-    return _search(array, key, hd=True)
+    return search_keys(array, [key], hd=True).rows(0)
 
 
 def ml_voltage_closed_form(
@@ -379,10 +434,8 @@ def ml_voltage_closed_form(
         raise DomainError(f"n_bits must be >= 1, got {n_bits}")
     if not 0 <= n_match <= n_bits:
         raise DomainError(f"n_match must be in [0, {n_bits}], got {n_match}")
-    g = (
-        n_bits / bias.r_gate
-        + n_match / bias.r_match
-        + (n_bits - n_match) / bias.r_mismatch
+    g = _row_conductance(
+        n_bits, n_bits, n_match, bias.r_match, bias.r_mismatch, bias.r_gate
     )
     return (n_bits * i_rwl_per_bit) / g
 
@@ -401,9 +454,10 @@ def invert_ml_voltage_closed_form(
     if v_ml <= 0.0:
         raise DomainError(f"v_ml must be > 0, got {v_ml}")
     g = (n_bits * i_rwl_per_bit) / v_ml
-    m = (g - n_bits / bias.r_gate - n_bits / bias.r_mismatch) / (
-        1.0 / bias.r_match - 1.0 / bias.r_mismatch
+    g_none = _row_conductance(
+        n_bits, n_bits, 0, bias.r_match, bias.r_mismatch, bias.r_gate
     )
+    m = (g - g_none) / (1.0 / bias.r_match - 1.0 / bias.r_mismatch)
     return min(n_bits, max(0, round(m)))
 
 
@@ -489,7 +543,5 @@ def calibrate_exact_bias(
     BiasConfig after checking the bias sits inside the critical-current
     window.
     """
-    array.bias = calibrated_bias(
-        array.bias, critical_window(array.sc, array.t_op), binary_avg, ternary_avg
-    )
+    array.bias = calibrated_bias(array.bias, array._window, binary_avg, ternary_avg)
     return array.bias.i_rwl_exact, array.bias.r_fs_exact

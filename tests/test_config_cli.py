@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cryocam import cli
 from cryocam.cli import main
 from cryocam.config import DEFAULTS, build_config, parse_config
 from cryocam.errors import ConfigError
@@ -206,6 +207,26 @@ class TestCliTcam:
         payload = json.loads((out / "tcam_calibrate.json").read_text())
         assert payload["binary_avg_aJ"] == pytest.approx(1.36, rel=1e-9)
         assert payload["ternary_avg_aJ"] == pytest.approx(26.5, rel=1e-9)
+
+
+class TestCliInProcess:
+    def test_parser_is_built_once_and_keeps_no_flags(self, tmp_path):
+        cli._build_parser.cache_clear()
+        assert run_cli(["--set", "seed=5", "tcam", "calibrate"], tmp_path, "a")[0] == 0
+        assert run_cli(["tcam", "calibrate"], tmp_path, "b")[0] == 0
+        seeds = [
+            json.loads((tmp_path / name / "run_manifest.json").read_text())["seed"]
+            for name in ("a", "b")
+        ]
+        assert seeds == [5, DEFAULTS["seed"][0]]
+        sweeps = [["--d", "80", "--block", "8", "40"], []]
+        for name, flags in zip(("c", "d"), sweeps):
+            assert run_cli(["hdc", "sweep", *flags], tmp_path, name)[0] == 0
+        lines = (tmp_path / "d" / "hdc_sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["10000", block] for block in ("10", "50", "100", "500")
+        ]
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestCliDeviceAndFe:

@@ -6,13 +6,15 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cryocam import tcam
 from cryocam.config import build_config
 from cryocam.device_physics import SuperconductorParams
 from cryocam.errors import ConfigError, DomainError, UnsupportedModeError, UsageError
 from cryocam.ferroelectric import PreisachModel, drive_voltage, remnant_fraction
-from cryocam.fesquid import critical_current_at
+from cryocam.fesquid import critical_current_at, critical_window
 from cryocam.htron import HtronDevice
 from cryocam.tcam import (
     BiasConfig,
@@ -20,6 +22,7 @@ from cryocam.tcam import (
     TcamArray,
     calibrate_exact_bias,
     invert_energy_targets,
+    invert_ml_voltage_closed_form,
     ml_voltage_closed_form,
     search_energy,
     search_exact,
@@ -490,8 +493,12 @@ class TestSearchKeyAndTiming:
 class _ReferenceArray:
     """The one-object-per-device model the array is checked against: one
     Preisach state per ferroelectric, every write pulsing every device,
-    and a search summing branch conductances one at a time in column
-    order."""
+    and a search that visits every branch, counting the gate-driven ones
+    and reading each open one's state: in HD mode its remnant sign, in
+    exact mode its critical current against I_RWL.  The row conductance
+    is then the counted sum: n_gated/r_gate + n_low/r_match +
+    (n_open - n_low)/r_mismatch in HD mode, n_gated/r_gate +
+    n_open/r_fs_exact in exact mode."""
 
     def __init__(self, rows, cols, bias):
         self.model = PreisachModel()
@@ -523,20 +530,28 @@ class _ReferenceArray:
         total_i = len(trits) * i_rwl
         results = []
         for cells in self.fe:
-            g_row, shorted, n_match = 0.0, False, 0
+            n_gated, n_open, n_low, shorted, n_match = 0, 0, 0, False, 0
             for t, (fs1, fs2) in zip(trits, cells):
                 stored = 1 if remnant_fraction(fs1) < 0.0 else 0
                 n_match += t != "d" and int(t) == stored
                 for fe, driven in ((fs1, t in "1d"), (fs2, t in "0d")):
                     p = remnant_fraction(fe)
                     if driven:
-                        g_row += 1.0 / bias.r_gate
-                    elif hd:
-                        g_row += 1.0 / (bias.r_match if p >= 0.0 else bias.r_mismatch)
-                    elif i_rwl > critical_current_at(p, self.sc, 4.0):
-                        g_row += 1.0 / bias.r_fs_exact
-                    else:
+                        n_gated += 1
+                        continue
+                    n_open += 1
+                    if hd:
+                        n_low += int(p >= 0.0)
+                    elif not i_rwl > critical_current_at(p, self.sc, 4.0):
                         shorted = True
+            if hd:
+                g_row = (
+                    n_gated / bias.r_gate
+                    + n_low / bias.r_match
+                    + (n_open - n_low) / bias.r_mismatch
+                )
+            else:
+                g_row = n_gated / bias.r_gate + n_open / bias.r_fs_exact
             v_ml = 0.0 if shorted else total_i / g_row
             power = total_i * v_ml
             results.append(
@@ -549,7 +564,7 @@ class TestAgainstReferenceModel:
     @pytest.mark.parametrize("v_write", [2.0, 1.5])
     def test_seeded_stream_matches_per_device_model(self, v_write):
         # 2.0 V saturates; 1.5 V stays below v_span and walks minor loops
-        rows, cols = 4, 24  # 48 branches per row: a pairwise sum would differ
+        rows, cols = 4, 24
         bias = BiasConfig(v_write=v_write)
         array = TcamArray(rows, cols, bias=bias)
         ref = _ReferenceArray(rows, cols, bias)
@@ -591,3 +606,139 @@ class TestAgainstReferenceModel:
                         want = ref.fe[r][c][branch - 1]
                         assert np.array_equal(fe.relay_up, want.relay_up)
                         assert fe.last_v == want.last_v
+
+    @pytest.mark.parametrize("v_write", [2.0, 1.5])
+    def test_unwritten_rows_match_per_device_model(self, v_write):
+        # A fresh cell reads stored 1, yet both its ferroelectrics sit at
+        # negative remnant, so under key 1 its open branch is a mismatched
+        # one: the HD count must come from the open branches' states.
+        rows, cols = 4, 12
+        bias = BiasConfig(v_write=v_write)
+        array = TcamArray(rows, cols, bias=bias)
+        ref = _ReferenceArray(rows, cols, bias)
+        rng = np.random.default_rng(7)
+        for row in (1, 3):  # rows 0 and 2 are only ever half-selected
+            bits = "".join(map(str, rng.integers(0, 2, cols)))
+            store_word(array, row, bits)
+            for c, b in enumerate(bits):
+                ref.write_bit(row, c, int(b))
+        word = array.read_word(1)
+        keys = ["1" * cols, "0" * cols, word, word[:-3] + "ddd", "d" * cols]
+        keys += ["".join(rng.choice(list("01d"), cols)) for _ in range(6)]
+        for k in keys:
+            if "d" not in k:
+                assert repr(search_hd(array, SearchKey(k))) == repr(ref.search(k, True))
+            assert repr(search_exact(array, SearchKey(k))) == repr(ref.search(k, False))
+
+
+def _state_window(array: TcamArray) -> tuple[float, float]:
+    """(largest I_C of a positive-remnant state, smallest I_C of a
+    negative one) over the array's state table: the exact-mode bias must
+    sit between them for every written bit to read as written."""
+    i_c = np.array([critical_current_at(p, array.sc, array.t_op)
+                    for p in array._remnants])
+    positive = array._remnants >= 0.0
+    return i_c[positive].max(), i_c[~positive].min()
+
+
+@st.composite
+def searched_arrays(draw):
+    """A random array, some rows left unwritten (None), with a random
+    row record inside the valid windows: V_WRITE/2 < V_C < V_WRITE, the
+    exact bias inside the state table's I_C window, the HD bias above
+    I_C,high, r_match > r_mismatch and a gate drive above threshold."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    v_write = draw(st.floats(1.25, 2.35))
+    array = TcamArray(rows, cols, bias=BiasConfig(v_write=v_write))
+    word = st.text("01", min_size=cols, max_size=cols)
+    words = draw(st.lists(st.none() | word, min_size=rows, max_size=rows))
+    for r, w in enumerate(words):
+        if w is not None:
+            store_word(array, r, w)
+    lo, hi = _state_window(array)
+    r_mismatch = draw(st.floats(100.0, 5e3))
+    array.bias = dataclasses.replace(
+        array.bias,
+        i_rwl_exact=lo + (hi - lo) * draw(st.floats(0.01, 0.99)),
+        i_rwl_hd=critical_window(array.sc, array.t_op)[1]
+        * draw(st.floats(1.01, 3.0)),
+        i_rbl_on=array.htron.i_g_crit * draw(st.floats(1.01, 5.0)),
+        t_search=draw(st.floats(0.05e-9, 2e-9)),
+        r_fs_exact=draw(st.floats(100.0, 5e3)),
+        r_gate=draw(st.floats(5e3, 1e6)),
+        r_match=r_mismatch * draw(st.floats(1.01, 10.0)),
+        r_mismatch=r_mismatch,
+    )
+    # keys near a stored word (kept, flipped or don't-care per trit)
+    edits = st.text("kkkkfd", min_size=cols, max_size=cols)
+    keys = []
+    for base, edit in draw(st.lists(st.tuples(st.sampled_from(words), edits),
+                                    min_size=1, max_size=4)):
+        base = base or "1" * cols
+        keys.append("".join("10"[int(b)] if e == "f" else "d" if e == "d" else b
+                            for b, e in zip(base, edit)))
+    return array, words, keys
+
+
+class TestSearchProperties:
+    @given(searched_arrays())
+    def test_exact_zero_iff_hard_mismatch(self, case):
+        array, words, keys = case
+        for key in keys:
+            for word, res in zip(words, search_exact(array, SearchKey(key))):
+                # an unwritten cell has both branches at high I_C, so any
+                # open branch shorts its row
+                mismatch = any(t != "d" and (word is None or t != b)
+                               for t, b in zip(key, word or key))
+                assert (res.v_ml == 0.0) == mismatch
+                assert res.v_ml >= 0.0
+
+    @given(searched_arrays())
+    def test_hd_counts_and_voltage_order(self, case):
+        array, words, keys = case
+        bias, cols = array.bias, array.cols
+        by_count = {}
+        for key in (k.replace("d", "0") for k in keys):
+            for word, res in zip(words, search_hd(array, SearchKey(key))):
+                stored = word or "1" * cols  # fresh devices read stored 1
+                assert res.n_match == sum(t == b for t, b in zip(key, stored))
+                if word is None:  # every open branch is a mismatched one
+                    zero = ml_voltage_closed_form(cols, 0, bias.i_rwl_hd, bias)
+                    assert res.v_ml == pytest.approx(zero, rel=1e-12)
+                else:
+                    by_count.setdefault(res.n_match, []).append(res.v_ml)
+        counts = sorted(by_count)
+        for lo, hi in zip(counts, counts[1:]):
+            assert max(by_count[lo]) < min(by_count[hi])
+
+    @given(
+        block=st.integers(1, 1000),
+        i_rwl=st.floats(1e-7, 1e-4),
+        r_gate=st.floats(5e3, 1e6),
+        r_mismatch=st.floats(100.0, 5e3),
+        ratio=st.floats(1.01, 10.0),
+    )
+    def test_decode_round_trips_every_count(self, block, i_rwl, r_gate,
+                                            r_mismatch, ratio):
+        bias = BiasConfig(r_gate=r_gate, r_match=r_mismatch * ratio,
+                          r_mismatch=r_mismatch)
+        for m in range(block + 1):
+            v = ml_voltage_closed_form(block, m, i_rwl, bias)
+            assert invert_ml_voltage_closed_form(v, block, i_rwl, bias) == m
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("hd", [False, True])
+    def test_batch_rows_equal_single_key_searches(self, hd):
+        array = TcamArray(5, 10)
+        rng = np.random.default_rng(3)
+        for row in (0, 1, 3):  # rows 2 and 4 stay unwritten
+            store_word(array, row, "".join(map(str, rng.integers(0, 2, 10))))
+        trits = "01" if hd else "01d"
+        keys = [SearchKey("".join(rng.choice(list(trits), 10))) for _ in range(7)]
+        keys.append(SearchKey(array.read_word(3)))
+        batch = tcam.search_keys(array, keys, hd)
+        assert batch.v_ml.shape == batch.n_match.shape == (len(keys), 5)
+        search = search_hd if hd else search_exact
+        for k, key in enumerate(keys):
+            assert repr(batch.rows(k)) == repr(search(array, key))
