@@ -6,8 +6,8 @@ Layers, bottom to top:
 * ``ferroelectric``  -- Preisach hysteresis (the non-volatile state variable)
 * ``fesquid``        -- storage device: polarization-dependent critical current,
   behavioral I-V, and an RCSJ dynamical solver for validation
-* ``htron``          -- heater-cryotron access switch
-* ``tcam``           -- cells, arrays, exact/HD search, write scheme, energy
+* ``tcam``           -- cells, arrays, hTron-gated exact/HD search, write
+  scheme, energy
 * ``hdc``            -- hyperdimensional-computing language recognition backed
   by the HD-mode TCAM model
 * ``config`` / ``cli`` -- run configuration, validation, and the command line

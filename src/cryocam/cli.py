@@ -312,6 +312,11 @@ def cmd_hdc_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     for d in args.d:
         if d < 1:
             raise UsageError(f"--d must be >= 1, got {d}")
+    if args.accuracy:
+        train_set, test_set = {}, {}
+        for label, texts in _corpus_from_args(args, cfg).items():
+            split = len(texts) - max(1, len(texts) // 4)
+            train_set[label], test_set[label] = texts[:split], texts[split:]
     rows = []
     for d in args.d:
         table = energy_sweep(
@@ -322,15 +327,6 @@ def cmd_hdc_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
         )
         accuracy = None
         if args.accuracy:
-            corpus = synthetic_corpus(
-                n_classes=args.classes,
-                texts_per_class=args.texts_per_class,
-                text_len=args.text_len,
-                seed=cfg["seed"],
-            )
-            split = max(1, args.texts_per_class // 4)
-            train_set = {lb: t[:-split] for lb, t in corpus.items()}
-            test_set = {lb: t[-split:] for lb, t in corpus.items()}
             model = train(train_set, d=d, n_gram=cfg["hdc_n_gram"],
                           seed=cfg["seed"])
             accuracy = accuracy_eval(model, test_set, engine="exact")
@@ -438,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          default=[10, 50, 100, 500])
     sweep_p.add_argument("--match", type=float, default=0.5)
     sweep_p.add_argument("--accuracy", action="store_true",
-                         help="also train/evaluate on the synthetic corpus")
+                         help="also train/evaluate on the corpus")
     corpus_flags(sweep_p)
     sweep_p.set_defaults(func=cmd_hdc_sweep, name="hdc sweep")
 

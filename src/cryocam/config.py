@@ -18,7 +18,6 @@ from .device_physics import SuperconductorParams
 from .errors import ConfigError
 from .fesquid import RcsjParams, critical_window
 from .ferroelectric import PreisachModel
-from .htron import HtronDevice
 from .tcam import (
     BiasConfig,
     TcamArray,
@@ -101,12 +100,6 @@ class RunConfig:
             sigma_v=v["fe_sigma_v_V"],
         )
 
-    def htron(self) -> HtronDevice:
-        """The array's hTron record: its gate threshold.  Its resistive
-        channel and switching time are the row record's r_gate and
-        t_search."""
-        return HtronDevice(i_g_crit=_si(self.values["ht_i_g_crit_uA"], -6))
-
     def bias(self) -> BiasConfig:
         """The row record every search, closed form and calibration reads."""
         v = self.values
@@ -120,6 +113,7 @@ class RunConfig:
             r_gate=_si(v["ht_r_off_kohm"], 3),
             r_match=v["r_low_state_ohm"],
             r_mismatch=v["r_high_state_ohm"],
+            i_g_crit=_si(v["ht_i_g_crit_uA"], -6),
         )
 
     def rcsj(self) -> RcsjParams:
@@ -140,7 +134,6 @@ class RunConfig:
             sc=self.superconductor(),
             t_op=v["t_op_K"],
             bias=self.bias(),
-            htron=self.htron(),
         )
 
     def critical_window(self) -> tuple[float, float]:
@@ -176,11 +169,17 @@ def validate_values(values: dict) -> list[str]:
             f"lowest polarization-shifted T_C = "
             f"{v['t_c_base_K'] - v['delta_tc_K']} K"
         )
+    if v["r_low_state_ohm"] <= v["r_high_state_ohm"]:
+        # else the HD match-line voltage would not rise with matched bits
+        problems.append(
+            f"r_low_state_ohm must exceed r_high_state_ohm, got "
+            f"{v['r_low_state_ohm']} <= {v['r_high_state_ohm']}"
+        )
     cfg = RunConfig(values=dict(values))
     bias = cfg.bias()
     checks = [
         write_inequality_problem(v["v_write_V"], v["fe_v_c_V"]),
-        gate_problem(bias.i_rbl_on, cfg.htron().i_g_crit),
+        gate_problem(bias.i_rbl_on, bias.i_g_crit),
     ]
     if superconducting:
         window = cfg.critical_window()

@@ -78,12 +78,9 @@ def branch_voltage(dev: FeSquidDevice, i: float, bias: BiasConfig) -> float:
     if i < 0.0:
         raise DomainError(f"bias current must be >= 0, got {i}")
     p = remnant_fraction(dev.fe)
-    r = bias.r_match if p >= 0.0 else bias.r_mismatch
-    if r <= 0.0:
-        raise DomainError(f"state resistance must be > 0, got {r}")
     if i <= critical_current_at(p, dev.sc, dev.t_op):
         return 0.0
-    return i * r
+    return i * (bias.r_match if p >= 0.0 else bias.r_mismatch)
 
 
 @dataclass(frozen=True)

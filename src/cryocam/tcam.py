@@ -19,7 +19,7 @@ low-I_C device exactly when the bit matches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .ferroelectric import (
     drive_voltage,
     remnant_fraction,
 )
-from .htron import HtronDevice
 
 TRITS = ("0", "1", "d")
 #: The trit that leaves fs1's branch open (0) and fs2's (1), by branch.
@@ -41,9 +40,10 @@ _OPENING_TRITS = np.frombuffer(b"01", dtype=np.uint8)
 
 @dataclass(frozen=True)
 class BiasConfig:
-    """The row record: bias currents, write voltage, search time and
-    match-line branch resistances (SI).  Searches, closed forms,
-    calibration and HDC plans all read it; ``RunConfig.bias()`` builds it."""
+    """The row record: bias currents, write voltage, search time,
+    match-line branch resistances and the hTron gate threshold (SI).
+    Searches, closed forms, calibration and HDC plans all read it;
+    ``RunConfig.bias()`` builds it.  Every field must be finite and > 0."""
 
     i_rwl_exact: float = 3.2e-6  # A per cell, exact mode (calibrated default)
     i_rwl_hd: float = 5e-6  # A per cell, HD mode
@@ -54,6 +54,13 @@ class BiasConfig:
     r_gate: float = 50e3  # ohm, gate-driven branch (resistive hTron channel)
     r_match: float = 1.8e3  # ohm, HD-mode matched bit (low-I_C state)
     r_mismatch: float = 0.9e3  # ohm, HD-mode mismatched bit (high-I_C state)
+    i_g_crit: float = 20e-6  # A, hTron gate threshold
+
+    def __post_init__(self):
+        for field in fields(self):
+            x = getattr(self, field.name)
+            if not (math.isfinite(x) and x > 0.0):
+                raise DomainError(f"{field.name} must be finite and > 0, got {x}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +104,8 @@ class TcamArray:
     sit at negative saturation settled at 0 V.
 
     Searches read the row record ``bias``, which holds every branch
-    resistance, the bias currents and the search time, and the gate
-    threshold of the one ``htron`` record all access switches share.
+    resistance, the bias currents, the search time and the gate threshold
+    all hTron access switches share.
     Searches are pure, so they may run concurrently; a write needs
     exclusive access to the whole array (the V/2 scheme touches an entire
     row and column).
@@ -112,7 +119,6 @@ class TcamArray:
         sc: SuperconductorParams | None = None,
         t_op: float = 4.0,
         bias: BiasConfig | None = None,
-        htron: HtronDevice | None = None,
     ):
         if rows < 1 or cols < 1:
             raise DomainError("array must have at least one row and column")
@@ -122,15 +128,8 @@ class TcamArray:
         self.sc = sc or SuperconductorParams()
         self.t_op = t_op
         self.bias = bias = bias or BiasConfig()
-        self.htron = htron or HtronDevice()
         if t_op <= 0.0:
             raise DomainError(f"t_op must be > 0 K, got {t_op}")
-        if bias.r_match <= 0.0 or bias.r_mismatch <= 0.0:
-            raise DomainError("state resistances must be > 0")
-        if bias.r_gate <= 0.0:
-            raise DomainError(f"r_gate must be > 0, got {bias.r_gate}")
-        if bias.t_search <= 0.0:
-            raise DomainError(f"t_search must be > 0, got {bias.t_search}")
 
         self._v_write = bias.v_write  # the voltage the state table holds
         self._states, self._remnants, self._pulse = _state_table(
@@ -262,8 +261,10 @@ def write_inequality_problem(v_write: float, v_c: float) -> str | None:
 
 
 def gate_problem(i_rbl_on: float, i_g_crit: float) -> str | None:
-    """None when the asserted gate current switches an hTron
-    (i_rbl_on > i_g_crit), else the violation message."""
+    """None when the asserted gate current switches an hTron, else the
+    violation message.  The hTron is only a gate-threshold switch: a drive
+    strictly above ``i_g_crit`` makes its channel resistive (r_gate), any
+    other keeps it superconducting."""
     if i_rbl_on > i_g_crit:
         return None
     return (
@@ -365,7 +366,7 @@ def search_keys(array: TcamArray, keys, hd: bool) -> SearchResults:
     i_rwl = bias.i_rwl_hd if hd else bias.i_rwl_exact
     window_problem = hd_bias_problem if hd else exact_bias_problem
     problem = window_problem(i_rwl, array._window) or gate_problem(
-        bias.i_rbl_on, array.htron.i_g_crit
+        bias.i_rbl_on, bias.i_g_crit
     )
     if problem:
         raise ConfigError(problem)

@@ -10,7 +10,6 @@ from cryocam.config import DEFAULTS, build_config, parse_config
 from cryocam.errors import ConfigError
 from cryocam.fesquid import RcsjParams
 from cryocam.hdc import save_model, synthetic_corpus, train
-from cryocam.htron import HtronDevice
 from cryocam.tcam import BiasConfig
 
 
@@ -97,7 +96,6 @@ class TestConfigParsing:
     def test_default_config_builds_default_row_record(self):
         cfg = build_config()
         assert cfg.bias() == BiasConfig()
-        assert cfg.htron() == HtronDevice()
 
     def test_default_config_builds_default_rcsj_params(self):
         # the RCSJ defaults are declared twice, in DEFAULTS and RcsjParams
@@ -346,6 +344,35 @@ class TestCliHdc:
         assert abs(float(first[2]) - 89.4e-15) / 89.4e-15 < 0.03
         assert float(first[3]) == pytest.approx(1.29e-12)
 
+    def test_sweep_accuracy_scores_the_given_corpus(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        sweep = ["hdc", "sweep", "--d", "256", "--block", "16", "--accuracy",
+                 "--corpus"]
+        code, out = run_cli([*sweep, str(tmp_path / "none")], tmp_path)
+        assert code == 3
+        assert "does not exist" in error_payload(capsys)["messages"][0]
+        assert not out.exists()
+
+        corpus = tmp_path / "corpus"
+        for label, text in (("en", "the cat sat on the mat "),
+                            ("fr", "le chat est sur le tapis ")):
+            (corpus / label).mkdir(parents=True)
+            for i in range(2):
+                (corpus / label / f"{i}.txt").write_text(text * 20)
+        trained = []
+
+        def recording_train(texts_by_label, **kwargs):
+            trained.append(sorted(texts_by_label))
+            return train(texts_by_label, **kwargs)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        code, out = run_cli([*sweep, str(corpus)], tmp_path, "scored")
+        assert code == 0
+        assert trained == [["en", "fr"]]
+        row = (out / "hdc_sweep.csv").read_text().splitlines()[1].split(",")
+        assert float(row[-1]) == 1.0
+
 
 class TestCliErrors:
     def test_unknown_subcommand_exits_2(self, tmp_path, capsys):
@@ -373,6 +400,21 @@ class TestCliErrors:
         payload = error_payload(capsys)
         assert payload["error_category"] == "validation"
         assert any("hTron gate threshold" in m for m in payload["messages"])
+        assert not out.exists()
+
+    def test_state_resistances_out_of_order_exit_3(
+        self, model_and_text, tmp_path, capsys
+    ):
+        # equal resistances once ended the HD decode in a ZeroDivisionError
+        model, text = model_and_text
+        code, out = run_cli(
+            ["--set", "r_low_state_ohm=900", "hdc", "infer", "--model",
+             str(model), "--text", str(text), "--engine", "tcam"],
+            tmp_path,
+        )
+        assert code == 3
+        (message,) = error_payload(capsys)["messages"]
+        assert "r_low_state_ohm must exceed r_high_state_ohm" in message
         assert not out.exists()
 
     def test_missing_store_file_exits_3(self, tmp_path):

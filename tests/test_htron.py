@@ -1,6 +1,6 @@
 """hTron switch semantics: the strict gate threshold, which the gate rule
-``tcam.gate_problem`` states, and the resistance and latency it takes
-from the row record."""
+``tcam.gate_problem`` states, and the threshold, resistance and latency
+it takes from the row record."""
 
 import dataclasses
 
@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from cryocam.errors import DomainError
-from cryocam.htron import HtronDevice
 from cryocam.tcam import BiasConfig, TcamArray, gate_problem
 
-I_G_CRIT = HtronDevice().i_g_crit
+I_G_CRIT = BiasConfig().i_g_crit
 
 
 class TestSwitching:
@@ -40,25 +39,24 @@ class TestSwitching:
         assert gate_problem(-1e-6, I_G_CRIT) is not None
 
     def test_record_is_frozen(self):
-        dev = HtronDevice()
+        bias = BiasConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            dev.i_g_crit = 0.0
-        assert dev == HtronDevice()
+            bias.i_g_crit = 0.0
+        assert bias == BiasConfig()
 
     def test_default_gate_threshold(self):
-        assert [f.name for f in dataclasses.fields(HtronDevice)] == ["i_g_crit"]
-        assert HtronDevice().i_g_crit == pytest.approx(20e-6)
+        assert BiasConfig().i_g_crit == pytest.approx(20e-6)
 
     @pytest.mark.parametrize("i_g_crit", [0.0, -1e-6])
     def test_non_positive_threshold_rejected(self, i_g_crit):
         # a threshold at or below 0 A would switch every branch, driven or not
-        with pytest.raises(DomainError):
-            HtronDevice(i_g_crit=i_g_crit)
+        with pytest.raises(DomainError, match="i_g_crit"):
+            BiasConfig(i_g_crit=i_g_crit)
 
 
 class TestResistanceAndLatency:
     """The resistive channel and the switching time are the row record's
-    r_gate and t_search; the array validates them."""
+    r_gate and t_search; the record validates them."""
 
     def test_default_latency_is_search_time(self):
         assert BiasConfig().t_search == pytest.approx(0.3e-9)

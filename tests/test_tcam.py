@@ -15,7 +15,6 @@ from cryocam.device_physics import SuperconductorParams
 from cryocam.errors import ConfigError, DomainError, UnsupportedModeError, UsageError
 from cryocam.ferroelectric import PreisachModel, drive_voltage, remnant_fraction
 from cryocam.fesquid import critical_current_at, critical_window
-from cryocam.htron import HtronDevice
 from cryocam.tcam import (
     BiasConfig,
     SearchKey,
@@ -157,13 +156,14 @@ class TestWriteScheme:
             assert remnant_fraction(array.fe_state(row, 0, 1)) < 0.0
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"t_op": 0.0}, {"bias": BiasConfig(r_match=0.0)},
-         {"bias": BiasConfig(r_mismatch=-1.0)}],
+        "kwargs", [{"t_op": 0.0}, {"r_match": 0.0}, {"r_mismatch": -1.0}]
     )
     def test_device_parameters_validated(self, kwargs):
+        # the row record rejects a bad field when built, so build it here
+        bias_fields = dict(kwargs)
+        t_op = bias_fields.pop("t_op", 4.0)
         with pytest.raises(DomainError):
-            TcamArray(1, 1, **kwargs)
+            TcamArray(1, 1, t_op=t_op, bias=BiasConfig(**bias_fields))
 
     def test_write_cost_is_linear_in_rows_plus_columns(self, drive_calls):
         rows, cols = 16, 32
@@ -455,6 +455,16 @@ class TestCalibration:
         assert array.bias.r_fs_exact == r_fs
 
 
+class TestRowRecord:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(BiasConfig)])
+    def test_every_field_must_be_finite_and_positive(self, field, bad):
+        # r_fs_exact = 0 once gave an exact hit v_ml = nan, and a negative
+        # one a negative voltage and energy
+        with pytest.raises(DomainError, match=f"^{field} must be finite and > 0"):
+            BiasConfig(**{field: bad})
+
+
 class TestSearchPurity:
     def test_searches_change_no_state(self):
         array = TcamArray(3, 4)
@@ -479,12 +489,7 @@ class TestSearchKeyAndTiming:
         # An asserted gate current at or below the threshold switches no
         # branch, so the key never reaches the row: in exact mode every
         # row would read 0 V, even an exact hit.
-        array = TcamArray(
-            2,
-            4,
-            bias=BiasConfig(i_rbl_on=i_rbl_on),
-            htron=HtronDevice(i_g_crit=i_g_crit),
-        )
+        array = TcamArray(2, 4, bias=BiasConfig(i_rbl_on=i_rbl_on, i_g_crit=i_g_crit))
         store_word(array, 0, "1010")
         with pytest.raises(ConfigError, match="hTron gate threshold"):
             search(array, SearchKey("1010"))
@@ -662,7 +667,7 @@ def searched_arrays(draw):
         i_rwl_exact=lo + (hi - lo) * draw(st.floats(0.01, 0.99)),
         i_rwl_hd=critical_window(array.sc, array.t_op)[1]
         * draw(st.floats(1.01, 3.0)),
-        i_rbl_on=array.htron.i_g_crit * draw(st.floats(1.01, 5.0)),
+        i_rbl_on=array.bias.i_g_crit * draw(st.floats(1.01, 5.0)),
         t_search=draw(st.floats(0.05e-9, 2e-9)),
         r_fs_exact=draw(st.floats(100.0, 5e3)),
         r_gate=draw(st.floats(5e3, 1e6)),
