@@ -209,14 +209,13 @@ def cmd_tcam_search(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     for r, word in enumerate(words):
         store_word(array, r, word)
     keys = [SearchKey(key) for key in keys]
-    results = search_keys(array, keys, hd=args.mode == "hd")
-    rows = []
-    for k, key in enumerate(keys):
-        for r, res in enumerate(results.rows(k)):
-            rows.append(
-                [key.trits, r, res.v_ml * 1e3, res.n_match, res.power * 1e9,
-                 res.energy * 1e18]
-            )
+    res = search_keys(array, keys, hd=args.mode == "hd")
+    scaled = (res.v_ml * 1e3, res.n_match, res.power * 1e9, res.energy * 1e18)
+    rows = [
+        [key.trits, r, *row]
+        for key, *columns in zip(keys, *(x.tolist() for x in scaled))
+        for r, row in enumerate(zip(*columns))
+    ]
     return [
         _write_csv(
             out_dir / "tcam_search.csv",

@@ -18,14 +18,7 @@ from .device_physics import SuperconductorParams
 from .errors import ConfigError
 from .fesquid import RcsjParams, critical_window
 from .ferroelectric import PreisachModel
-from .tcam import (
-    BiasConfig,
-    TcamArray,
-    exact_bias_problem,
-    gate_problem,
-    hd_bias_problem,
-    write_inequality_problem,
-)
+from .tcam import BiasConfig, TcamArray, operating_problems
 
 # key -> (default in config units, op, bound, description).  A key has
 # its default's type; a valid value is finite and ``value op bound``.
@@ -69,10 +62,15 @@ DEFAULTS = {
 }
 
 
-def _si(value: float, exponent: int) -> float:
-    """``value`` times 10**exponent, rounded once from its decimal form,
-    so 5 uA becomes exactly 5e-6 (the library defaults)."""
-    return float(Decimal(repr(value)).scaleb(exponent))
+# unit suffix -> power of ten that takes a value in that unit to SI
+_SI_EXPONENTS = {"_uA": -6, "_ns": -9, "_kohm": 3, "_uC_cm2": -2}
+
+
+def _si(values: dict, key: str) -> float:
+    """The value of ``key`` in SI units, rounded once from its decimal
+    form, so 5 uA becomes exactly 5e-6 (the library defaults)."""
+    exponent = next((e for u, e in _SI_EXPONENTS.items() if key.endswith(u)), 0)
+    return float(Decimal(repr(values[key])).scaleb(exponent))
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ class RunConfig:
         v = self.values
         return PreisachModel(
             grid_n=v["fe_grid_n"],
-            p_s=v["fe_p_s_uC_cm2"] * 1e-6 / 1e-4,  # uC/cm^2 -> C/m^2
+            p_s=_si(v, "fe_p_s_uC_cm2"),
             v_c=v["fe_v_c_V"],
             sigma_v=v["fe_sigma_v_V"],
         )
@@ -104,16 +102,16 @@ class RunConfig:
         """The row record every search, closed form and calibration reads."""
         v = self.values
         return BiasConfig(
-            i_rwl_exact=_si(v["i_rwl_exact_uA"], -6),
-            i_rwl_hd=_si(v["i_rwl_hd_uA"], -6),
-            i_rbl_on=_si(v["i_rbl_on_uA"], -6),
+            i_rwl_exact=_si(v, "i_rwl_exact_uA"),
+            i_rwl_hd=_si(v, "i_rwl_hd_uA"),
+            i_rbl_on=_si(v, "i_rbl_on_uA"),
             v_write=v["v_write_V"],
-            t_search=_si(v["t_search_ns"], -9),
+            t_search=_si(v, "t_search_ns"),
             r_fs_exact=v["r_fs_exact_ohm"],
-            r_gate=_si(v["ht_r_off_kohm"], 3),
+            r_gate=_si(v, "ht_r_off_kohm"),
             r_match=v["r_low_state_ohm"],
             r_mismatch=v["r_high_state_ohm"],
-            i_g_crit=_si(v["ht_i_g_crit_uA"], -6),
+            i_g_crit=_si(v, "ht_i_g_crit_uA"),
         )
 
     def rcsj(self) -> RcsjParams:
@@ -157,6 +155,10 @@ def validate_values(values: dict) -> list[str]:
             problems.append(f"{key} must be finite, got {x}")
         elif not (x > bound if op == ">" else x >= bound):
             problems.append(f"{key} must be {op} {bound}, got {x}")
+        elif key.endswith(tuple(_SI_EXPONENTS)) and not (
+            0.0 < (si := _si(v, key)) < math.inf
+        ):  # the value overflowed or underflowed on its way to SI units
+            problems.append(f"{key} must be finite and > 0 in SI, got {x} -> {si}")
     if problems:
         return problems
 
@@ -176,19 +178,8 @@ def validate_values(values: dict) -> list[str]:
             f"{v['r_low_state_ohm']} <= {v['r_high_state_ohm']}"
         )
     cfg = RunConfig(values=dict(values))
-    bias = cfg.bias()
-    checks = [
-        write_inequality_problem(v["v_write_V"], v["fe_v_c_V"]),
-        gate_problem(bias.i_rbl_on, bias.i_g_crit),
-    ]
-    if superconducting:
-        window = cfg.critical_window()
-        checks += [
-            exact_bias_problem(bias.i_rwl_exact, window),
-            hd_bias_problem(bias.i_rwl_hd, window),
-        ]
-    problems.extend(problem for problem in checks if problem)
-    return problems
+    window = cfg.critical_window() if superconducting else None
+    return problems + operating_problems(cfg.bias(), v["fe_v_c_V"], window)
 
 
 def split_assignment(text: str) -> tuple[str, str] | None:

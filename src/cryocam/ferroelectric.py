@@ -37,7 +37,6 @@ class PreisachModel:
         p_s: float = 0.30,  # C/m^2 (30 uC/cm^2)
         v_c: float = 1.2,  # V
         sigma_v: float = 0.15,  # V
-        v_span: float | None = None,
     ):
         if grid_n < 16:
             raise DomainError(f"grid_n must be >= 16, got {grid_n}")
@@ -48,7 +47,7 @@ class PreisachModel:
         self.v_c = float(v_c)
         self.sigma_v = float(sigma_v)
         # Inputs at or beyond +/-v_span saturate the grid exactly.
-        self.v_span = float(v_span) if v_span is not None else v_c + 5.0 * sigma_v
+        self.v_span = v_c + 5.0 * sigma_v
 
         axis = np.linspace(-self.v_span, self.v_span, self.grid_n)
         aa, bb = np.meshgrid(axis, axis, indexing="ij")

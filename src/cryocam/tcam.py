@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +83,7 @@ class SearchKey:
         return "d" in self.trits
 
 
-@dataclass(frozen=True)
-class MatchLineResult:
+class MatchLineResult(NamedTuple):
     v_ml: float  # V
     n_match: int  # matched-bit count (non-d positions)
     power: float  # W, total RWL current times v_ml
@@ -105,10 +105,13 @@ class TcamArray:
 
     Searches read the row record ``bias``, which holds every branch
     resistance, the bias currents, the search time and the gate threshold
-    all hTron access switches share.
-    Searches are pure, so they may run concurrently; a write needs
-    exclusive access to the whole array (the V/2 scheme touches an entire
-    row and column).
+    all hTron access switches share.  Binding a record checks it against
+    every operating rule and the built write voltage; a rejected record
+    raises one ConfigError listing every violation and leaves the array
+    unchanged, so writes and searches check nothing.  Searches are pure,
+    so they may run concurrently; a write or a bind needs exclusive
+    access to the whole array (the V/2 scheme touches an entire row and
+    column).
     """
 
     def __init__(
@@ -122,24 +125,40 @@ class TcamArray:
     ):
         if rows < 1 or cols < 1:
             raise DomainError("array must have at least one row and column")
+        if t_op <= 0.0:
+            raise DomainError(f"t_op must be > 0 K, got {t_op}")
         self.rows = rows
         self.cols = cols
         self.fe_model = fe_model or PreisachModel()
         self.sc = sc or SuperconductorParams()
         self.t_op = t_op
-        self.bias = bias = bias or BiasConfig()
-        if t_op <= 0.0:
-            raise DomainError(f"t_op must be > 0 K, got {t_op}")
-
-        self._v_write = bias.v_write  # the voltage the state table holds
-        self._states, self._remnants, self._pulse = _state_table(
-            self.fe_model, bias.v_write
-        )
         self._window = critical_window(self.sc, t_op)
+        self._bias = None
+        self.bias = bias or BiasConfig()
+
+        self._states, self._remnants, self._pulse = _state_table(
+            self.fe_model, self.bias.v_write
+        )
         self._i_c = np.array(
             [critical_current_at(p, self.sc, t_op) for p in self._remnants]
         )
         self.ids = np.zeros((rows, cols, 2), dtype=np.int32)
+
+    @property
+    def bias(self) -> BiasConfig:
+        return self._bias
+
+    @bias.setter
+    def bias(self, bias: BiasConfig):
+        problems = operating_problems(bias, self.fe_model.v_c, self._window)
+        if self._bias is not None and bias.v_write != self._bias.v_write:
+            problems.append(
+                f"V_WRITE={bias.v_write} V is not the {self._bias.v_write} V "
+                "the array's state table was built for"
+            )
+        if problems:
+            raise ConfigError(problems)
+        self._bias = bias
 
     def fe_state(self, row: int, col: int, branch: int) -> PreisachState:
         """A clone of the Preisach state of ferroelectric fs1 (``branch``
@@ -215,14 +234,6 @@ def write_bit(array: TcamArray, row: int, col: int, value: int) -> TcamArray:
         raise UsageError(f"bit value must be 0 or 1, got {value!r}")
     _check_address(array, row, col)
     v_w = array.bias.v_write
-    problem = write_inequality_problem(v_w, array.fe_model.v_c)
-    if problem:
-        raise ConfigError(problem)
-    if v_w != array._v_write:
-        raise ConfigError(
-            f"V_WRITE={v_w} V is not the {array._v_write} V the array's "
-            "state table was built for"
-        )
     pulse = array._pulse
     v1 = -v_w if value == 1 else v_w
     ids = array.ids
@@ -273,22 +284,14 @@ def gate_problem(i_rbl_on: float, i_g_crit: float) -> str | None:
     )
 
 
-def exact_bias_problem(
-    i_rwl: float, window: tuple[float, float], calibrated: bool = False
-) -> str | None:
-    """None when I_C,low < i_rwl < I_C,high, else the violation message
-    (worded for a calibration result when ``calibrated``)."""
+def exact_bias_problem(i_rwl: float, window: tuple[float, float]) -> str | None:
+    """None when I_C,low < i_rwl < I_C,high, else the violation message."""
     ic_low, ic_high = window
     if ic_low < i_rwl < ic_high:
         return None
-    if calibrated:
-        return (
-            f"calibrated I_RWL={i_rwl:.4g} A falls outside the exact-mode "
-            f"window ({ic_low:.4g}, {ic_high:.4g}) A"
-        )
     return (
         f"exact mode requires I_C,low < I_RWL < I_C,high: "
-        f"I_RWL={i_rwl:.4g} A vs ({ic_low:.4g}, {ic_high:.4g}) A"
+        f"I_RWL={i_rwl:.4g} A vs window ({ic_low:.4g}, {ic_high:.4g}) A"
     )
 
 
@@ -303,6 +306,25 @@ def hd_bias_problem(i_rwl: float, window: tuple[float, float]) -> str | None:
     )
 
 
+def operating_problems(
+    bias: BiasConfig, v_c: float, window: tuple[float, float] | None
+) -> list[str]:
+    """The violation message of every operating rule ``bias`` breaks at
+    coercive voltage ``v_c`` and critical-current ``window``: the write
+    inequality, the gate rule and both bias windows (skipped when
+    ``window`` is None, for a normal device)."""
+    problems = [
+        write_inequality_problem(bias.v_write, v_c),
+        gate_problem(bias.i_rbl_on, bias.i_g_crit),
+    ]
+    if window is not None:
+        problems += [
+            exact_bias_problem(bias.i_rwl_exact, window),
+            hd_bias_problem(bias.i_rwl_hd, window),
+        ]
+    return [problem for problem in problems if problem]
+
+
 @dataclass(frozen=True)
 class SearchResults:
     """Every row's match line under each of K keys, as (K, rows) arrays."""
@@ -314,15 +336,8 @@ class SearchResults:
 
     def rows(self, k: int) -> list[MatchLineResult]:
         """The row results of key ``k``."""
-        return list(
-            map(
-                MatchLineResult,
-                self.v_ml[k].tolist(),
-                self.n_match[k].tolist(),
-                self.power[k].tolist(),
-                self.energy[k].tolist(),
-            )
-        )
+        columns = (self.v_ml[k], self.n_match[k], self.power[k], self.energy[k])
+        return list(map(MatchLineResult, *(column.tolist() for column in columns)))
 
 
 def _row_conductance(n_bits, n_gated, n_low, r_low, r_high, r_gate):
@@ -339,13 +354,13 @@ def search_keys(array: TcamArray, keys, hd: bool) -> SearchResults:
     once, a pure function of the stored states and the keys.
 
     The key sets the gates: search 1 drives ht1, 0 drives ht2, d both,
-    and the gate rule, checked first, makes every driven hTron switch, so
-    a driven branch is an r_gate resistor.  A 0/1 trit leaves one branch
-    open, fs1's for a 0 and fs2's for a 1; a d trit leaves none.  So a row
-    is fixed by counts over its open branches, each read through the
-    state table: in HD mode how many have a remnant >= 0 (r_match; the
-    rest conduct at r_mismatch), in exact mode whether any has
-    I_C >= I_RWL (it shorts the ML; else all conduct at r_fs_exact).
+    and the gate rule, checked at binding, makes every driven hTron
+    switch, so a driven branch is an r_gate resistor.  A 0/1 trit leaves
+    one branch open, fs1's for a 0 and fs2's for a 1; a d trit leaves
+    none.  So a row is fixed by counts over its open branches, each read
+    through the state table: in HD mode how many have a remnant >= 0
+    (r_match; the rest conduct at r_mismatch), in exact mode whether any
+    has I_C >= I_RWL (it shorts the ML; else all conduct at r_fs_exact).
     Counts are over open branches, not stored bits: a fresh cell reads
     stored 1 with both devices at negative remnant.  ``n_match`` alone
     counts stored bits: the non-d trits equal to the bit fs1 holds.
@@ -364,13 +379,6 @@ def search_keys(array: TcamArray, keys, hd: bool) -> SearchResults:
             )
     bias = array.bias
     i_rwl = bias.i_rwl_hd if hd else bias.i_rwl_exact
-    window_problem = hd_bias_problem if hd else exact_bias_problem
-    problem = window_problem(i_rwl, array._window) or gate_problem(
-        bias.i_rbl_on, bias.i_g_crit
-    )
-    if problem:
-        raise ConfigError(problem)
-
     n_keys, rows = len(keys), array.rows
     trits = np.frombuffer("".join(k.trits for k in keys).encode(), dtype=np.uint8)
     # (K, C, 2) in the (col, branch) order of ids: 1 where a branch is open
@@ -529,7 +537,7 @@ def calibrated_bias(
     average-energy targets, after checking the bias sits inside the
     critical-current ``window``."""
     i_rwl, r_fs = invert_energy_targets(binary_avg, ternary_avg, bias)
-    problem = exact_bias_problem(i_rwl, window, calibrated=True)
+    problem = exact_bias_problem(i_rwl, window)
     if problem:
         raise ConfigError(problem)
     return replace(bias, i_rwl_exact=i_rwl, r_fs_exact=r_fs)
@@ -540,8 +548,8 @@ def calibrate_exact_bias(
 ) -> tuple[float, float]:
     """Set the array's exact-mode bias from average-energy targets.
 
-    Returns (i_rwl_exact, r_fs) and stores them in the array's
-    BiasConfig after checking the bias sits inside the critical-current
+    Returns (i_rwl_exact, r_fs) and binds them into the array's
+    BiasConfig, which checks the bias sits inside the critical-current
     window.
     """
     array.bias = calibrated_bias(array.bias, array._window, binary_avg, ternary_avg)

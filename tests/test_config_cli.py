@@ -8,6 +8,7 @@ from cryocam import cli
 from cryocam.cli import main
 from cryocam.config import DEFAULTS, build_config, parse_config
 from cryocam.errors import ConfigError
+from cryocam.ferroelectric import PreisachModel
 from cryocam.fesquid import RcsjParams
 from cryocam.hdc import save_model, synthetic_corpus, train
 from cryocam.tcam import BiasConfig
@@ -96,6 +97,12 @@ class TestConfigParsing:
     def test_default_config_builds_default_row_record(self):
         cfg = build_config()
         assert cfg.bias() == BiasConfig()
+
+    def test_default_config_builds_default_preisach_model(self):
+        # 30 * 1e-6 / 1e-4 once gave p_s = 0.29999999999999993
+        built, default = build_config().fe_model(), PreisachModel()
+        for name in ("p_s", "v_c", "sigma_v", "grid_n", "v_span"):
+            assert getattr(built, name) == getattr(default, name), name
 
     def test_default_config_builds_default_rcsj_params(self):
         # the RCSJ defaults are declared twice, in DEFAULTS and RcsjParams
@@ -555,6 +562,31 @@ class TestCliErrors:
         payload = error_payload(capsys)
         assert payload["error_category"] == "validation"
         assert payload["messages"] == [message]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("settings", "messages"),
+        [
+            (["ht_r_off_kohm=1e306"],
+             ["ht_r_off_kohm must be finite and > 0 in SI, got 1e+306 -> inf"]),
+            (["t_search_ns=1e-320"],
+             ["t_search_ns must be finite and > 0 in SI, got 1e-320 -> 0.0"]),
+            (["ht_r_off_kohm=1e306", "r_n_ohm=-1"],
+             ["r_n_ohm must be > 0, got -1.0",
+              "ht_r_off_kohm must be finite and > 0 in SI, got 1e+306 -> inf"]),
+        ],
+        ids=["overflow", "underflow", "with-other-key"],
+    )
+    def test_si_conversion_out_of_range_names_the_key(
+        self, settings, messages, tmp_path, capsys
+    ):
+        # the row record's error once escaped, naming r_gate or t_search
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        code, out = run_cli([*args, "tcam", "calibrate"], tmp_path)
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        assert payload["messages"] == messages
         assert not out.exists()
 
     @pytest.mark.parametrize(

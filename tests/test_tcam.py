@@ -120,11 +120,16 @@ class TestWriteScheme:
         assert array.read_word(2) == "0011"
 
     def test_write_inequality_checked_before_mutation(self):
-        array = TcamArray(2, 2, bias=BiasConfig(v_write=2.6))  # v_c 1.2 < 1.3
-        before = array.remnant_signs()
+        array = TcamArray(2, 2)
+        store_word(array, 0, "10")
+        before = pickle.dumps(array)
         with pytest.raises(ConfigError, match="V_WRITE/2 < V_C < V_WRITE"):
-            write_bit(array, 0, 0, 1)
-        assert array.remnant_signs() == before
+            TcamArray(2, 2, bias=BiasConfig(v_write=2.6))  # v_c 1.2 < 1.3
+        with pytest.raises(ConfigError, match="V_WRITE/2 < V_C < V_WRITE"):
+            array.bias = dataclasses.replace(array.bias, v_write=2.6)
+        assert pickle.dumps(array) == before
+        store_word(array, 1, "01")
+        assert array.read_word(1) == "01"
 
     def test_bad_inputs(self):
         array = TcamArray(1, 2)
@@ -209,13 +214,13 @@ class TestWriteScheme:
     def test_write_voltage_fixed_when_built(self):
         array = TcamArray(2, 2)
         store_word(array, 0, "10")
-        array.bias = dataclasses.replace(array.bias, v_write=1.5)
         before = pickle.dumps(array)
-        with pytest.raises(ConfigError, match=r"V_WRITE=1\.5 V .* 2\.0 V"):
-            write_bit(array, 1, 0, 1)
-        with pytest.raises(ConfigError, match="state table"):
-            store_word(array, 1, "01")
+        with pytest.raises(ConfigError, match=r"V_WRITE=1\.5 V .* 2\.0 V") as info:
+            array.bias = dataclasses.replace(array.bias, v_write=1.5)
+        assert "state table" in str(info.value)
         assert pickle.dumps(array) == before
+        store_word(array, 1, "01")
+        assert array.read_word(1) == "01"
 
 
 class TestExactSearch:
@@ -276,10 +281,8 @@ class TestExactSearch:
                     assert res.v_ml > 0.0
 
     def test_mode_window_enforced(self):
-        array = TcamArray(1, 1, bias=BiasConfig(i_rwl_exact=5e-6))
-        store_word(array, 0, "1")
         with pytest.raises(ConfigError, match="I_C,low < I_RWL < I_C,high"):
-            search_exact(array, SearchKey("1"))
+            TcamArray(1, 1, bias=BiasConfig(i_rwl_exact=5e-6))
 
     def test_key_length_checked(self):
         array = TcamArray(1, 2)
@@ -317,10 +320,8 @@ class TestHdSearch:
             search_hd(array, SearchKey("0d"))
 
     def test_mode_window_enforced(self):
-        array = TcamArray(1, 1, bias=BiasConfig(i_rwl_hd=3e-6))
-        store_word(array, 0, "1")
         with pytest.raises(ConfigError, match="HD mode requires I_RWL > I_C,high"):
-            search_hd(array, SearchKey("1"))
+            TcamArray(1, 1, bias=BiasConfig(i_rwl_hd=3e-6))
 
 
 class TestClosedForm:
@@ -465,6 +466,50 @@ class TestRowRecord:
             BiasConfig(**{field: bad})
 
 
+class TestOperatingPoint:
+    def test_rejected_record_lists_every_broken_rule(self):
+        array = TcamArray(2, 2)
+        store_word(array, 0, "01")
+        before = pickle.dumps(array)
+        bad = dataclasses.replace(array.bias, i_rbl_on=10e-6, i_rwl_hd=3e-6)
+        with pytest.raises(ConfigError) as info:
+            array.bias = bad
+        gate, hd_window = info.value.violations
+        assert "hTron gate threshold" in gate
+        assert "HD mode requires I_RWL > I_C,high" in hd_window
+        assert pickle.dumps(array) == before
+
+    # ranges that straddle each rule's bound at the defaults: V_C = 1.2 V,
+    # i_g_crit = 20 uA and (I_C,low, I_C,high) ~ (2.11, 4.19) uA
+    @given(
+        v_write=st.floats(1.1, 2.5),
+        i_rbl_on=st.floats(18e-6, 60e-6),
+        i_rwl_exact=st.floats(2e-6, 4.3e-6),
+        i_rwl_hd=st.floats(4e-6, 9e-6),
+    )
+    def test_binding_fails_exactly_on_operating_problems(
+        self, v_write, i_rbl_on, i_rwl_exact, i_rwl_hd
+    ):
+        bias = BiasConfig(
+            v_write=v_write, i_rbl_on=i_rbl_on, i_rwl_exact=i_rwl_exact,
+            i_rwl_hd=i_rwl_hd,
+        )
+        window = critical_window(SuperconductorParams(), 4.0)
+        expected = tcam.operating_problems(bias, PreisachModel().v_c, window)
+        if expected:
+            with pytest.raises(ConfigError) as info:
+                TcamArray(1, 2, bias=bias)
+            assert info.value.violations == expected
+        else:
+            assert TcamArray(1, 2, bias=bias).bias is bias
+
+    def test_normal_device_skips_the_window_rules(self):
+        bias = BiasConfig(i_rbl_on=10e-6, i_rwl_exact=9e-6, i_rwl_hd=1e-6)
+        (gate,) = tcam.operating_problems(bias, 1.2, None)
+        assert "hTron gate threshold" in gate
+        assert len(tcam.operating_problems(bias, 1.2, (2e-6, 4e-6))) == 3
+
+
 class TestSearchPurity:
     def test_searches_change_no_state(self):
         array = TcamArray(3, 4)
@@ -488,11 +533,17 @@ class TestSearchKeyAndTiming:
     def test_gate_drive_must_switch_the_htron(self, search, i_rbl_on, i_g_crit):
         # An asserted gate current at or below the threshold switches no
         # branch, so the key never reaches the row: in exact mode every
-        # row would read 0 V, even an exact hit.
-        array = TcamArray(2, 4, bias=BiasConfig(i_rbl_on=i_rbl_on, i_g_crit=i_g_crit))
+        # row would read 0 V, even an exact hit.  Binding such a record
+        # fails and leaves the array searching with the one it had.
+        array = TcamArray(2, 4)
         store_word(array, 0, "1010")
+        good = array.bias
+        before = search(array, SearchKey("1010"))
         with pytest.raises(ConfigError, match="hTron gate threshold"):
-            search(array, SearchKey("1010"))
+            array.bias = dataclasses.replace(good, i_rbl_on=i_rbl_on, i_g_crit=i_g_crit)
+        assert array.bias is good
+        assert search(array, SearchKey("1010")) == before
+        assert before[0].v_ml > 0.0
 
 
 class _ReferenceArray:
