@@ -42,7 +42,7 @@ from .hdc import (
 )
 from .tcam import (
     SearchKey,
-    calibrated_bias,
+    calibrate_exact_bias,
     exact_energy_averages,
     search_keys,
     store_word,
@@ -226,12 +226,17 @@ def cmd_tcam_search(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_tcam_calibrate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
-    ic_low, ic_high = window = cfg.critical_window()
-    bias = calibrated_bias(
-        cfg.bias(), window, args.binary_aJ * 1e-18, args.ternary_aJ * 1e-18
+    for flag, x in (
+        ("--binary-aJ", args.binary_aJ), ("--ternary-aJ", args.ternary_aJ)
+    ):
+        if not (math.isfinite(x) and x > 0):
+            raise UsageError(f"{flag} must be finite and > 0, got {x}")
+    array = cfg.make_array(1, 1)
+    i_rwl, r_fs = calibrate_exact_bias(
+        array, args.binary_aJ * 1e-18, args.ternary_aJ * 1e-18
     )
-    i_rwl, r_fs = bias.i_rwl_exact, bias.r_fs_exact
-    binary_avg, ternary_avg = exact_energy_averages(bias)
+    ic_low, ic_high = array.exact_window
+    binary_avg, ternary_avg = exact_energy_averages(array.bias)
     payload = {
         "i_rwl_exact_uA": i_rwl * 1e6,
         "r_fs_exact_ohm": r_fs,
@@ -311,6 +316,8 @@ def cmd_hdc_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     for d in args.d:
         if d < 1:
             raise UsageError(f"--d must be >= 1, got {d}")
+    if not 0.0 <= args.match <= 1.0:
+        raise UsageError(f"--match must be in [0, 1], got {args.match}")
     if args.accuracy:
         train_set, test_set = {}, {}
         for label, texts in _corpus_from_args(args, cfg).items():

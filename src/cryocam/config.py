@@ -177,9 +177,10 @@ def validate_values(values: dict) -> list[str]:
             f"r_low_state_ohm must exceed r_high_state_ohm, got "
             f"{v['r_low_state_ohm']} <= {v['r_high_state_ohm']}"
         )
+    # the fully written device (remnant +1, -1): no Preisach walk here
     cfg = RunConfig(values=dict(values))
-    window = cfg.critical_window() if superconducting else None
-    return problems + operating_problems(cfg.bias(), v["fe_v_c_V"], window)
+    states = ((1.0, -1.0), cfg.critical_window()) if superconducting else None
+    return problems + operating_problems(cfg.bias(), v["fe_v_c_V"], states)
 
 
 def split_assignment(text: str) -> tuple[str, str] | None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .device_physics import SuperconductorParams
 from .errors import ConfigError, DomainError, UnsupportedModeError, UsageError
-from .fesquid import critical_current_at, critical_window
+from .fesquid import critical_current_at
 from .ferroelectric import (
     PreisachModel,
     PreisachState,
@@ -100,15 +100,16 @@ class TcamArray:
     short (6 states at the defaults) and complete once the array is
     built, so writes and searches only read it.  The write voltage, the
     superconductor, ``t_op`` and with them each state's critical current
-    (``_i_c``) and the I_C window are fixed then.  Fresh devices (id 0)
-    sit at negative saturation settled at 0 V.
+    (``_i_c``) and the I_C window (``exact_window``) are fixed then.
+    Fresh devices (id 0) sit at negative saturation settled at 0 V.
 
     Searches read the row record ``bias``, which holds every branch
     resistance, the bias currents, the search time and the gate threshold
     all hTron access switches share.  Binding a record checks it against
-    every operating rule and the built write voltage; a rejected record
-    raises one ConfigError listing every violation and leaves the array
-    unchanged, so writes and searches check nothing.  Searches are pure,
+    every operating rule over the state table's critical currents and the
+    built write voltage; a rejected record raises one ConfigError listing
+    every violation and leaves the array unchanged, so writes and
+    searches check nothing.  Searches are pure,
     so they may run concurrently; a write or a bind needs exclusive
     access to the whole array (the V/2 scheme touches an entire row and
     column).
@@ -132,16 +133,15 @@ class TcamArray:
         self.fe_model = fe_model or PreisachModel()
         self.sc = sc or SuperconductorParams()
         self.t_op = t_op
-        self._window = critical_window(self.sc, t_op)
-        self._bias = None
-        self.bias = bias or BiasConfig()
-
+        bias = bias or BiasConfig()
         self._states, self._remnants, self._pulse = _state_table(
-            self.fe_model, self.bias.v_write
+            self.fe_model, bias.v_write
         )
         self._i_c = np.array(
             [critical_current_at(p, self.sc, t_op) for p in self._remnants]
         )
+        self._bias = None
+        self.bias = bias
         self.ids = np.zeros((rows, cols, 2), dtype=np.int32)
 
     @property
@@ -150,7 +150,9 @@ class TcamArray:
 
     @bias.setter
     def bias(self, bias: BiasConfig):
-        problems = operating_problems(bias, self.fe_model.v_c, self._window)
+        problems = operating_problems(
+            bias, self.fe_model.v_c, (self._remnants, self._i_c)
+        )
         if self._bias is not None and bias.v_write != self._bias.v_write:
             problems.append(
                 f"V_WRITE={bias.v_write} V is not the {self._bias.v_write} V "
@@ -159,6 +161,11 @@ class TcamArray:
         if problems:
             raise ConfigError(problems)
         self._bias = bias
+
+    @property
+    def exact_window(self) -> tuple[float, float]:
+        """The (I_C,low, I_C,high) window, in A, of the state table."""
+        return _exact_window(self._remnants, self._i_c)
 
     def fe_state(self, row: int, col: int, branch: int) -> PreisachState:
         """A clone of the Preisach state of ferroelectric fs1 (``branch``
@@ -284,44 +291,39 @@ def gate_problem(i_rbl_on: float, i_g_crit: float) -> str | None:
     )
 
 
-def exact_bias_problem(i_rwl: float, window: tuple[float, float]) -> str | None:
-    """None when I_C,low < i_rwl < I_C,high, else the violation message."""
-    ic_low, ic_high = window
-    if ic_low < i_rwl < ic_high:
-        return None
-    return (
-        f"exact mode requires I_C,low < I_RWL < I_C,high: "
-        f"I_RWL={i_rwl:.4g} A vs window ({ic_low:.4g}, {ic_high:.4g}) A"
-    )
+def _exact_window(remnants, i_c) -> tuple[float, float]:
+    """(largest I_C at a remnant >= 0, smallest I_C at a remnant < 0):
+    exact mode reads every state as written only with I_RWL strictly
+    between them.  A sign that no state has empties the window."""
+    low = [float(c) for p, c in zip(remnants, i_c) if p >= 0.0]
+    high = [float(c) for p, c in zip(remnants, i_c) if p < 0.0]
+    return max(low, default=math.inf), min(high, default=-math.inf)
 
 
-def hd_bias_problem(i_rwl: float, window: tuple[float, float]) -> str | None:
-    """None when i_rwl > I_C,high, else the violation message."""
-    ic_high = window[1]
-    if i_rwl > ic_high:
-        return None
-    return (
-        f"HD mode requires I_RWL > I_C,high: I_RWL={i_rwl:.4g} A vs "
-        f"I_C,high={ic_high:.4g} A"
-    )
-
-
-def operating_problems(
-    bias: BiasConfig, v_c: float, window: tuple[float, float] | None
-) -> list[str]:
+def operating_problems(bias: BiasConfig, v_c: float, states) -> list[str]:
     """The violation message of every operating rule ``bias`` breaks at
-    coercive voltage ``v_c`` and critical-current ``window``: the write
-    inequality, the gate rule and both bias windows (skipped when
-    ``window`` is None, for a normal device)."""
+    coercive voltage ``v_c``: the write inequality, the gate rule and the
+    bias windows of ``states``, the (remnant fractions, critical currents)
+    of every state a device can reach (None for a normal device, which
+    skips both window rules).  HD mode needs I_RWL above every I_C."""
     problems = [
         write_inequality_problem(bias.v_write, v_c),
         gate_problem(bias.i_rbl_on, bias.i_g_crit),
     ]
-    if window is not None:
-        problems += [
-            exact_bias_problem(bias.i_rwl_exact, window),
-            hd_bias_problem(bias.i_rwl_hd, window),
-        ]
+    if states is not None:
+        ic_low, ic_high = _exact_window(*states)
+        if not ic_low < bias.i_rwl_exact < ic_high:
+            problems.append(
+                f"exact mode requires I_C,low < I_RWL < I_C,high: "
+                f"I_RWL={bias.i_rwl_exact:.4g} A vs window "
+                f"({ic_low:.4g}, {ic_high:.4g}) A"
+            )
+        ic_max = max(states[1])
+        if not bias.i_rwl_hd > ic_max:
+            problems.append(
+                f"HD mode requires I_RWL > I_C,high: I_RWL={bias.i_rwl_hd:.4g} A "
+                f"vs I_C,high={ic_max:.4g} A"
+            )
     return [problem for problem in problems if problem]
 
 
@@ -462,6 +464,11 @@ def invert_ml_voltage_closed_form(
     """
     if v_ml <= 0.0:
         raise DomainError(f"v_ml must be > 0, got {v_ml}")
+    if bias.r_match == bias.r_mismatch:
+        raise DomainError(
+            f"r_match and r_mismatch must differ for v_ml to encode the "
+            f"count, got both {bias.r_match} ohm"
+        )
     g = (n_bits * i_rwl_per_bit) / v_ml
     g_none = _row_conductance(
         n_bits, n_bits, 0, bias.r_match, bias.r_mismatch, bias.r_gate
@@ -496,8 +503,8 @@ def invert_energy_targets(
     E_match = I^2 * (r_fs || r_gate) * t the positive pair is unique.
     ``exact_energy_averages`` is the forward map.
     """
-    if binary_avg <= 0.0 or ternary_avg <= 0.0:
-        raise DomainError("energy targets must be > 0")
+    if not (0.0 < binary_avg < math.inf and 0.0 < ternary_avg < math.inf):
+        raise DomainError("energy targets must be finite and > 0")
     r_gate, t_search = bias.r_gate, bias.t_search
     e_match = 2.0 * binary_avg
     e_dontcare = 3.0 * ternary_avg - e_match
@@ -527,30 +534,15 @@ def exact_energy_averages(bias: BiasConfig) -> tuple[float, float]:
     return e_match / 2.0, (2 * e_match + 2 * e_dontcare) / 6.0
 
 
-def calibrated_bias(
-    bias: BiasConfig,
-    window: tuple[float, float],
-    binary_avg: float,
-    ternary_avg: float,
-) -> BiasConfig:
-    """``bias`` with its exact-mode I_RWL and r_fs inverted from
-    average-energy targets, after checking the bias sits inside the
-    critical-current ``window``."""
-    i_rwl, r_fs = invert_energy_targets(binary_avg, ternary_avg, bias)
-    problem = exact_bias_problem(i_rwl, window)
-    if problem:
-        raise ConfigError(problem)
-    return replace(bias, i_rwl_exact=i_rwl, r_fs_exact=r_fs)
-
-
 def calibrate_exact_bias(
     array: TcamArray, binary_avg: float, ternary_avg: float
 ) -> tuple[float, float]:
     """Set the array's exact-mode bias from average-energy targets.
 
-    Returns (i_rwl_exact, r_fs) and binds them into the array's
-    BiasConfig, which checks the bias sits inside the critical-current
-    window.
+    Returns (i_rwl_exact, r_fs), inverted at the array's gate resistance
+    and search time, and binds them into the array's row record, which
+    checks every operating rule against the array's own state table.
     """
-    array.bias = calibrated_bias(array.bias, array._window, binary_avg, ternary_avg)
-    return array.bias.i_rwl_exact, array.bias.r_fs_exact
+    i_rwl, r_fs = invert_energy_targets(binary_avg, ternary_avg, array.bias)
+    array.bias = replace(array.bias, i_rwl_exact=i_rwl, r_fs_exact=r_fs)
+    return i_rwl, r_fs

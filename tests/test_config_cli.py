@@ -203,6 +203,18 @@ class TestCliTcam:
         assert payload["r_fs_exact_ohm"] == pytest.approx(901.62, rel=1e-4)
         assert payload["binary_avg_aJ"] == pytest.approx(1.36, rel=1e-6)
         assert payload["ternary_avg_aJ"] == pytest.approx(26.5, rel=1e-6)
+        # the array's window: half-select pulses shrink written remnants
+        assert payload["window_ic_low_uA"] == pytest.approx(2.3042, rel=1e-4)
+        assert payload["window_ic_high_uA"] == pytest.approx(4.0365, rel=1e-4)
+
+    def test_calibrate_checks_the_arrays_window(self, tmp_path, capsys):
+        # the target inverts to I_RWL ~ 4.10 uA: inside a fully written
+        # device's window (2.11, 4.19) uA, above the array's 4.04 uA
+        code, out = run_cli(["tcam", "calibrate", "--ternary-aJ", "43"], tmp_path)
+        assert code == 3
+        (message,) = error_payload(capsys)["messages"]
+        assert message.startswith("exact mode requires I_C,low < I_RWL < I_C,high")
+        assert not out.exists()
 
     def test_calibrate_round_trips_at_configured_gate(self, tmp_path):
         code, out = run_cli(
@@ -609,6 +621,47 @@ class TestCliErrors:
         assert code == 3
         assert error_payload(capsys)["messages"] == [message]
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["device", "iv", "--i-max-uA"],
+            ["fe", "sweep", "--v-max-V"],
+            ["tcam", "calibrate", "--binary-aJ"],
+            ["tcam", "calibrate", "--ternary-aJ"],
+            ["hdc", "sweep", "--match"],
+        ],
+        ids=lambda args: args[-1],
+    )
+    def test_non_finite_float_flag_is_named(self, args, value, tmp_path, capsys):
+        # --ternary-aJ inf once ended in a ZeroDivisionError traceback,
+        # --binary-aJ nan blamed I_RWL and --match nan named no flag
+        flag = args[-1]
+        code, out = run_cli([*args, value], tmp_path)
+        assert code == 3
+        (message,) = error_payload(capsys)["messages"]
+        assert message.startswith(f"{flag} must be ") and message.endswith(value)
+        assert not out.exists()
+
+    def test_exact_bias_outside_the_arrays_window_exits_3(self, tmp_path, capsys):
+        # 4.1 uA is inside a fully written device's window (2.11, 4.19) uA
+        # but above the array's (2.30, 4.04) uA: every row once read
+        # 3.62 mV, mismatched ones included
+        store, keys = tmp_path / "store.txt", tmp_path / "keys.txt"
+        store.write_text("0110100111010010\n1111000011110000\n")
+        keys.write_text("0110100111010010\n0110100111010011\n")
+        code, out = run_cli(
+            ["--set", "i_rwl_exact_uA=4.1", "tcam", "search", "--mode", "exact",
+             "--store", str(store), "--keys", str(keys)],
+            tmp_path,
+        )
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        (message,) = payload["messages"]
+        assert message.startswith("exact mode requires I_C,low < I_RWL < I_C,high")
+        assert list(out.glob("*.csv")) == []
 
     def test_negative_i_max_names_the_flag(self, tmp_path, capsys):
         code, out = run_cli(

@@ -353,6 +353,13 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             ml_voltage_closed_form(n, m, 5e-6)
 
+    def test_inverse_rejects_equal_branch_resistances(self):
+        # every count then gives one voltage; the decode once divided by 0
+        bias = BiasConfig(r_match=900.0)
+        v = ml_voltage_closed_form(4, 2, 5e-6, bias)
+        with pytest.raises(DomainError, match="r_match and r_mismatch must differ"):
+            invert_ml_voltage_closed_form(v, 4, 5e-6, bias)
+
 
 class TestEnergy:
     def test_vector_comparison_energy_10k(self):
@@ -442,6 +449,15 @@ class TestCalibration:
         with pytest.raises(ConfigError, match="window"):
             calibrate_exact_bias(array, 100 * BINARY_TARGET, 100 * TERNARY_TARGET)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("which", ["binary", "ternary"])
+    def test_non_finite_targets_rejected(self, which, bad):
+        # an infinite ternary target once ended in a ZeroDivisionError, a
+        # NaN one in a NaN bias
+        targets = {"binary": BINARY_TARGET, "ternary": TERNARY_TARGET, which: bad}
+        with pytest.raises(DomainError, match="finite and > 0"):
+            invert_energy_targets(targets["binary"], targets["ternary"])
+
     def test_no_positive_solution_rejected(self):
         with pytest.raises(ConfigError, match="no positive solution"):
             invert_energy_targets(1e-18, 1e-21)
@@ -480,7 +496,8 @@ class TestOperatingPoint:
         assert pickle.dumps(array) == before
 
     # ranges that straddle each rule's bound at the defaults: V_C = 1.2 V,
-    # i_g_crit = 20 uA and (I_C,low, I_C,high) ~ (2.11, 4.19) uA
+    # i_g_crit = 20 uA, the array's exact window ~ (2.30, 4.04) uA at
+    # V_WRITE = 2 V and the largest state I_C ~ 4.19 uA
     @given(
         v_write=st.floats(1.1, 2.5),
         i_rbl_on=st.floats(18e-6, 60e-6),
@@ -494,8 +511,11 @@ class TestOperatingPoint:
             v_write=v_write, i_rbl_on=i_rbl_on, i_rwl_exact=i_rwl_exact,
             i_rwl_hd=i_rwl_hd,
         )
-        window = critical_window(SuperconductorParams(), 4.0)
-        expected = tcam.operating_problems(bias, PreisachModel().v_c, window)
+        _, remnants, _ = tcam._state_table(PreisachModel(), v_write)
+        i_c = [critical_current_at(p, SuperconductorParams(), 4.0) for p in remnants]
+        expected = tcam.operating_problems(
+            bias, PreisachModel().v_c, (remnants, i_c)
+        )
         if expected:
             with pytest.raises(ConfigError) as info:
                 TcamArray(1, 2, bias=bias)
@@ -503,11 +523,41 @@ class TestOperatingPoint:
         else:
             assert TcamArray(1, 2, bias=bias).bias is bias
 
+    # the exact window narrows as V_WRITE falls, to ~ (3.01, 3.73) uA at
+    # 1.25 V: a record checked against the fully written device's window
+    # (2.11, 4.19) uA binds there and misreads stored words
+    @given(
+        v_write=st.floats(1.25, 2.35),
+        i_rwl_exact=st.floats(2.0e-6, 4.3e-6),
+        words=st.lists(st.text("01", min_size=6, max_size=6), min_size=1,
+                       max_size=4),
+    )
+    def test_bound_exact_bias_reads_every_written_word(
+        self, v_write, i_rwl_exact, words
+    ):
+        bias = BiasConfig(v_write=v_write, i_rwl_exact=i_rwl_exact)
+        try:
+            array = TcamArray(len(words), 6, bias=bias)
+        except ConfigError as exc:
+            (problem,) = exc.violations
+            assert problem.startswith("exact mode requires I_C,low < I_RWL")
+            return
+        for r, word in enumerate(words):
+            store_word(array, r, word)
+        for word in words:
+            flips = [word[:k] + "10"[int(word[k])] + word[k + 1 :] for k in range(6)]
+            for key in [word, *flips]:
+                results = search_exact(array, SearchKey(key))
+                assert [res.v_ml > 0.0 for res in results] == [
+                    stored == key for stored in words
+                ]
+
     def test_normal_device_skips_the_window_rules(self):
         bias = BiasConfig(i_rbl_on=10e-6, i_rwl_exact=9e-6, i_rwl_hd=1e-6)
         (gate,) = tcam.operating_problems(bias, 1.2, None)
         assert "hTron gate threshold" in gate
-        assert len(tcam.operating_problems(bias, 1.2, (2e-6, 4e-6))) == 3
+        states = ((1.0, -1.0), (2e-6, 4e-6))
+        assert len(tcam.operating_problems(bias, 1.2, states)) == 3
 
 
 class TestSearchPurity:
@@ -781,6 +831,45 @@ class TestSearchProperties:
         for m in range(block + 1):
             v = ml_voltage_closed_form(block, m, i_rwl, bias)
             assert invert_ml_voltage_closed_form(v, block, i_rwl, bias) == m
+
+
+@st.composite
+def write_sequences(draw):
+    """A random array and a mixed sequence of word writes (row, word) and
+    bit writes (row, col, bit)."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    v_write = draw(st.floats(1.25, 2.35))
+    row = st.integers(0, rows - 1)
+    word = st.text("01", min_size=cols, max_size=cols)
+    bit = st.tuples(row, st.integers(0, cols - 1), st.integers(0, 1))
+    ops = draw(st.lists(st.tuples(row, word) | bit, max_size=16))
+    return TcamArray(rows, cols, bias=BiasConfig(v_write=v_write)), ops
+
+
+class TestWriteProperties:
+    @given(write_sequences())
+    def test_reads_return_the_last_write(self, case):
+        # criterion 7's law on random sequences: a half-select pulse
+        # shrinks a remnant but never flips its sign
+        array, ops = case
+        expected = [["1"] * array.cols for _ in range(array.rows)]  # fresh
+        for op in ops:
+            before = [list(array.read_word(r)) for r in range(array.rows)]
+            if len(op) == 2:
+                row, word = op
+                store_word(array, row, word)
+                expected[row] = list(word)
+            else:
+                row, col, value = op
+                write_bit(array, row, col, value)
+                expected[row][col] = str(value)
+                before[row][col] = str(value)
+                after = [[str(array.read_bit(r, c)) for c in range(array.cols)]
+                         for r in range(array.rows)]
+                assert after == before  # no other cell's bit changed
+            assert [array.read_word(r) for r in range(array.rows)] == [
+                "".join(bits) for bits in expected
+            ]
 
 
 class TestBatchedSearch:
