@@ -19,6 +19,7 @@ low-I_C device exactly when the bit matches.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -44,7 +45,9 @@ class BiasConfig:
     """The row record: bias currents, write voltage, search time,
     match-line branch resistances and the hTron gate threshold (SI).
     Searches, closed forms, calibration and HDC plans all read it;
-    ``RunConfig.bias()`` builds it.  Every field must be finite and > 0."""
+    ``RunConfig.bias()`` builds it.  Every field must be finite and > 0,
+    and not subnormal: a value below the smallest normal float has lost
+    its precision."""
 
     i_rwl_exact: float = 3.2e-6  # A per cell, exact mode (calibrated default)
     i_rwl_hd: float = 5e-6  # A per cell, HD mode
@@ -60,7 +63,7 @@ class BiasConfig:
     def __post_init__(self):
         for field in fields(self):
             x = getattr(self, field.name)
-            if not (math.isfinite(x) and x > 0.0):
+            if not (math.isfinite(x) and x >= sys.float_info.min):
                 raise DomainError(f"{field.name} must be finite and > 0, got {x}")
 
 
@@ -226,44 +229,113 @@ def _check_address(array: TcamArray, row: int, col: int):
         )
 
 
+def _compose_scan(maps: np.ndarray, reverse: bool) -> np.ndarray:
+    """Inclusive running compositions of n state maps, an (n, ..., S)
+    int32 array applied in order along axis 0: out[j] applies maps 0..j
+    (or, ``reverse``, maps j..n-1), so out[j][..., s] is the state that s
+    reaches.  A doubling scan: ceil(log2 n) flat gathers of O(n S)."""
+    n_states = maps.shape[-1]
+    out = maps.copy()
+    flat = out.reshape(-1)
+    # the flat index of entry 0 of each map
+    base = np.arange(0, out.size, n_states, dtype=np.int32).reshape(
+        out.shape[:-1] + (1,)
+    )
+    d = 1
+    while d < len(out):
+        # out[j + d] after out[j]: the forward scan extends window j + d
+        # back by d maps, the reverse scan extends window j forward by d
+        step = flat.take(out[:-d] + base[d:])
+        if reverse:
+            out[:-d] = step
+        else:
+            out[d:] = step
+        d *= 2
+    return out
+
+
+def _write_columns(array: TcamArray, row: int, start: int, bits: np.ndarray):
+    """V/2 write of ``bits`` (0/1 uint8) into columns start, start + 1, ...
+    of ``row``, one column after another.
+
+    Writing bit b at (row, c) pulses the selected cell's ferroelectrics
+    with the full +/-V_WRITE (fs1 negative for a 1, fs2 the opposite)
+    and the half-selected cells in row ``row`` or column c with half
+    that, each pulse returning to 0 V.  Every other cell sees 0 V, which
+    leaves its 0 V-settled devices as they are.  So each device takes
+    one composition of the state table's pulse maps:
+
+    * off the row, column c's devices see only column c's half pulse;
+    * on the row, cell c sees the half pulses of the columns written
+      before it, its own full pulse, then the half pulses of those after;
+      a cell outside the written columns sees every half pulse.
+
+    The prefix and suffix compositions come from ``_compose_scan``, so n
+    columns cost O(R n + C + n S log n) and run no relay model.
+    """
+    ids = array.ids
+    n, stop = len(bits), start + len(bits)
+    v = array.bias.v_write
+    pulse = array._pulse
+    # (branch, bit) -> map, flattened: a 1 drives fs1 (branch 0) to -V and
+    # fs2 to +V, a 0 the mirror, so the sign is + where branch == bit
+    half = np.concatenate([pulse[0.5 * v], pulse[-0.5 * v],
+                           pulse[-0.5 * v], pulse[0.5 * v]])
+    full = np.concatenate([pulse[v], pulse[-v], pulse[-v], pulse[v]])
+    n_states = len(pulse[v])
+    # (n, 2): the flat offset of the (branch, bit) map of each column
+    pick = (2 * np.arange(2, dtype=np.int32) + bits[:, None]) * n_states
+    # (n, 2, S): the half map each written column applies to each branch
+    halves = half[pick[:, :, None] + np.arange(n_states, dtype=np.int32)]
+    prefix = _compose_scan(halves, reverse=False)
+    suffix = _compose_scan(halves, reverse=True)
+    identity = np.broadcast_to(np.arange(n_states, dtype=np.int32), (1, 2, n_states))
+    before = np.concatenate([identity, prefix[:-1]]).reshape(-1)  # left of c
+    after = np.concatenate([suffix[1:], identity]).reshape(-1)  # right of c
+
+    # (n, 2): the flat index of entry 0 of each column's maps in before
+    # and after
+    base = np.arange(0, halves.size, n_states, dtype=np.int32).reshape(n, 2)
+    own = before.take(base + ids[row, start:stop])
+    own = after.take(base + full.take(pick + own))
+    # off the row, one gather through column c's half map; it runs over
+    # the whole block and is overwritten on the row
+    ids[:, start:stop] = half.take(ids[:, start:stop] + pick)
+    ids[row, start:stop] = own
+    every = prefix[-1].reshape(-1)  # all n half pulses, in order
+    for cells in (ids[row, :start], ids[row, stop:]):
+        cells[:] = every.take(base[0] + cells)
+
+
 def write_bit(array: TcamArray, row: int, col: int, value: int) -> TcamArray:
-    """V/2 write of one bit.
+    """V/2 write of one bit: the one-column case of ``store_word``.
 
     The selected cell's ferroelectrics see the full +/-V_WRITE (fs1
     negative for a 1, fs2 the opposite) and half-selected cells in the
-    same row or column see half that, each pulse returning to 0 V.  Every
-    other cell sees 0 V, which leaves its 0 V-settled devices as they are,
-    so only the selected row and column are updated, each device by a
-    gather through the state table's pulse maps at the V_WRITE it was
-    built for: a write costs O(R + C) and runs no relay model.
+    same row or column see half that.  Only the selected row and column
+    are updated, each device by a gather through the state table's pulse
+    maps at the V_WRITE it was built for: a write costs O(R + C) and
+    runs no relay model.
     """
     if value not in (0, 1):
         raise UsageError(f"bit value must be 0 or 1, got {value!r}")
     _check_address(array, row, col)
-    v_w = array.bias.v_write
-    pulse = array._pulse
-    v1 = -v_w if value == 1 else v_w
-    ids = array.ids
-    for cells, v in (
-        (ids[row, :col], 0.5 * v1),
-        (ids[row, col + 1 :], 0.5 * v1),
-        (ids[:row, col], 0.5 * v1),
-        (ids[row + 1 :, col], 0.5 * v1),
-        (ids[row, col : col + 1], v1),
-    ):
-        cells[:, 0] = pulse[v][cells[:, 0]]
-        cells[:, 1] = pulse[-v][cells[:, 1]]
+    _write_columns(array, row, col, np.array([value], dtype=np.uint8))
     return array
 
 
 def store_word(array: TcamArray, row: int, bits: str) -> TcamArray:
-    """Write a whole word into one row, column by column."""
+    """Write a whole word into one row, column 0 first, with the V/2
+    scheme of ``write_bit``, composed per device: one word costs
+    O(R C + C S log C) for S states in the table, and runs no relay
+    model."""
     if len(bits) != array.cols:
         raise UsageError(f"word length {len(bits)} != array width {array.cols}")
     if set(bits) - {"0", "1"}:
         raise UsageError("stored words may only contain 0/1")
-    for c, b in enumerate(bits):
-        write_bit(array, row, c, int(b))
+    _check_address(array, row, 0)
+    word = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+    _write_columns(array, row, 0, word)
     return array
 
 
@@ -505,6 +577,13 @@ def invert_energy_targets(
     """
     if not (0.0 < binary_avg < math.inf and 0.0 < ternary_avg < math.inf):
         raise DomainError("energy targets must be finite and > 0")
+    if binary_avg < sys.float_info.min:
+        # r_fs follows from E_match = 2 * binary_avg, which would keep
+        # only the few significant bits of a subnormal
+        raise DomainError(
+            f"r_fs_exact cannot be inverted from a subnormal binary target: "
+            f"{binary_avg:.4g} J is below {sys.float_info.min:.4g} J"
+        )
     r_gate, t_search = bias.r_gate, bias.t_search
     e_match = 2.0 * binary_avg
     e_dontcare = 3.0 * ternary_avg - e_match

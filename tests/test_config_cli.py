@@ -644,6 +644,26 @@ class TestCliErrors:
         assert message.startswith(f"{flag} must be ") and message.endswith(value)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("args", "name"),
+        [
+            (["tcam", "calibrate", "--binary-aJ", "1e-305"], "r_fs_exact"),
+            (["--set", "t_search_ns=1e-305", "tcam", "calibrate"], "t_search"),
+        ],
+        ids=["binary-target", "t-search"],
+    )
+    def test_subnormal_calibration_input_exits_3(
+        self, args, name, tmp_path, capsys
+    ):
+        # a 1e-323 J binary target once calibrated r_fs = 0.00 ohm and
+        # exited 0; a 1e-314 s search time once reached the inversion and
+        # was blamed on an I_RWL of 5.5e146 A
+        code, out = run_cli(args, tmp_path)
+        assert code == 3
+        (message,) = error_payload(capsys)["messages"]
+        assert message.startswith(name)
+        assert not out.exists()
+
     def test_exact_bias_outside_the_arrays_window_exits_3(self, tmp_path, capsys):
         # 4.1 uA is inside a fully written device's window (2.11, 4.19) uA
         # but above the array's (2.30, 4.04) uA: every row once read

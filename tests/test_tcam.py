@@ -846,7 +846,43 @@ def write_sequences(draw):
     return TcamArray(rows, cols, bias=BiasConfig(v_write=v_write)), ops
 
 
+@st.composite
+def write_histories(draw):
+    """A small array, its write voltage and up to four word writes (row,
+    word) and bit writes (row, col, bit) into its first k rows, k drawn
+    from 1..rows, so the rows after them are only ever half-selected."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    v_write = draw(st.floats(1.25, 2.35))
+    row = st.integers(0, draw(st.integers(1, rows)) - 1)
+    word = st.text("01", min_size=cols, max_size=cols)
+    bit = st.tuples(row, st.integers(0, cols - 1), st.integers(0, 1))
+    return rows, cols, v_write, draw(st.lists(st.tuples(row, word) | bit, max_size=4))
+
+
 class TestWriteProperties:
+    @given(write_histories())
+    def test_every_device_follows_the_per_device_model(self, case):
+        # the composed word write against one relay model per device,
+        # every write pulsing every device column by column
+        rows, cols, v_write, ops = case
+        bias = BiasConfig(v_write=v_write)
+        array = TcamArray(rows, cols, bias=bias)
+        ref = _ReferenceArray(rows, cols, bias)
+        for op in ops:
+            if len(op) == 2:
+                row, word = op
+                store_word(array, row, word)
+                for c, b in enumerate(word):
+                    ref.write_bit(row, c, int(b))
+            else:
+                write_bit(array, *op)
+                ref.write_bit(*op)
+            for r, c, branch in itertools.product(range(rows), range(cols), (1, 2)):
+                fe = array.fe_state(r, c, branch)
+                want = ref.fe[r][c][branch - 1]
+                assert np.array_equal(fe.relay_up, want.relay_up)
+                assert fe.last_v == want.last_v
+
     @given(write_sequences())
     def test_reads_return_the_last_write(self, case):
         # criterion 7's law on random sequences: a half-select pulse
