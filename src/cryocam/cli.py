@@ -27,7 +27,7 @@ from . import __version__
 from .config import RunConfig, parse_config, split_assignment
 from .errors import ConfigError, CryocamError, DomainError, NumericError, UsageError
 from .fesquid import FeSquidDevice, branch_voltage, simulate_rcsj_iv
-from .ferroelectric import apply_voltage, apply_waveform
+from .ferroelectric import apply_waveform
 from .hdc import (
     BlockPlan,
     accuracy_eval,
@@ -46,6 +46,7 @@ from .tcam import (
     exact_energy_averages,
     search_keys,
     store_word,
+    write_bit,
 )
 
 OUTPUT_DIR_ENV = "CRYOCAM_OUT"
@@ -123,21 +124,14 @@ def _out_dir(args) -> Path:
     return Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or "cryocam_out")
 
 
-def _saturated_device(cfg: RunConfig, state: str) -> FeSquidDevice:
-    model = cfg.fe_model()
-    fe = model.initial_state()
-    span = model.v_span
-    apply_voltage(fe, span if state == "low" else -span)
-    apply_voltage(fe, 0.0)
-    return FeSquidDevice(fe=fe, sc=cfg.superconductor(), t_op=cfg["t_op_K"])
-
-
 def cmd_device_iv(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
     if not math.isfinite(args.i_max_uA) or args.i_max_uA < 0:
         raise UsageError(f"--i-max-uA must be finite and >= 0, got {args.i_max_uA}")
-    dev = _saturated_device(cfg, args.state)
+    array = cfg.make_array(1, 1)  # fs1 as a full write of 1 (high I_C) or 0 leaves it
+    write_bit(array, 0, 0, int(args.state == "high"))
+    dev = FeSquidDevice(array.fe_state(0, 0, 1), array.sc, array.t_op)
     i_points = np.linspace(0.0, args.i_max_uA * 1e-6, args.points)
     label = f"ic_{args.state}"
     if args.model == "behavioral":
@@ -321,8 +315,14 @@ def cmd_hdc_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     if args.accuracy:
         train_set, test_set = {}, {}
         for label, texts in _corpus_from_args(args, cfg).items():
+            if len(texts) < 2:  # the hold-out would leave no training text
+                raise UsageError(
+                    f"--accuracy holds out texts and needs >= 2 per class; "
+                    f"class {label!r} has {len(texts)}"
+                )
             split = len(texts) - max(1, len(texts) // 4)
             train_set[label], test_set[label] = texts[:split], texts[split:]
+    columns = ["d_bits", "block_size", "energy_J_fesquid", "energy_J_sram_ref"]
     rows = []
     for d in args.d:
         table = energy_sweep(
@@ -336,24 +336,8 @@ def cmd_hdc_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
             model = train(train_set, d=d, n_gram=cfg["hdc_n_gram"],
                           seed=cfg["seed"])
             accuracy = accuracy_eval(model, test_set, engine="exact")
-        for entry in table:
-            rows.append(
-                [
-                    entry["d_bits"],
-                    entry["block_size"],
-                    entry["energy_J_fesquid"],
-                    entry["energy_J_sram_ref"],
-                    accuracy,
-                ]
-            )
-    return [
-        _write_csv(
-            out_dir / "hdc_sweep.csv",
-            ["d_bits", "block_size", "energy_J_fesquid", "energy_J_sram_ref",
-             "accuracy"],
-            rows,
-        )
-    ]
+        rows.extend([*(entry[c] for c in columns), accuracy] for entry in table)
+    return [_write_csv(out_dir / "hdc_sweep.csv", [*columns, "accuracy"], rows)]
 
 
 @functools.cache

@@ -139,12 +139,6 @@ class RunConfig:
         return critical_window(self.superconductor(), self.values["t_op_K"])
 
 
-def _coerce(key: str, raw: str):
-    if isinstance(DEFAULTS[key][0], int):
-        return int(raw)
-    return float(raw)
-
-
 def validate_values(values: dict) -> list[str]:
     """All constraint violations for a fully populated value dict."""
     v = values
@@ -177,10 +171,14 @@ def validate_values(values: dict) -> list[str]:
             f"r_low_state_ohm must exceed r_high_state_ohm, got "
             f"{v['r_low_state_ohm']} <= {v['r_high_state_ohm']}"
         )
-    # the fully written device (remnant +1, -1): no Preisach walk here
     cfg = RunConfig(values=dict(values))
-    states = ((1.0, -1.0), cfg.critical_window()) if superconducting else None
-    return problems + operating_problems(cfg.bias(), v["fe_v_c_V"], states)
+    if not superconducting:  # a normal device has no window: no Preisach walk
+        return problems + operating_problems(cfg.bias(), v["fe_v_c_V"], None)
+    try:  # binding the row record checks every rule over the state table
+        cfg.make_array(1, 1)
+    except ConfigError as exc:
+        problems += exc.violations
+    return problems
 
 
 def split_assignment(text: str) -> tuple[str, str] | None:
@@ -195,7 +193,7 @@ def _assign(values: dict, key: str, raw, where: str, problems: list):
         problems.append(f"{where}unknown key {key!r}")
         return
     try:
-        values[key] = _coerce(key, str(raw))
+        values[key] = type(DEFAULTS[key][0])(str(raw))
     except ValueError:
         problems.append(f"{where}{key}: cannot parse {raw!r} as a number")
 

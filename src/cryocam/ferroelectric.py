@@ -48,6 +48,8 @@ class PreisachModel:
         self.sigma_v = float(sigma_v)
         # Inputs at or beyond +/-v_span saturate the grid exactly.
         self.v_span = v_c + 5.0 * sigma_v
+        if not math.isfinite(2.0 * self.v_span):
+            raise DomainError(f"v_c + 5 sigma_v = {self.v_span} V gives no finite grid")
 
         axis = np.linspace(-self.v_span, self.v_span, self.grid_n)
         aa, bb = np.meshgrid(axis, axis, indexing="ij")
@@ -58,9 +60,10 @@ class PreisachModel:
         h_c = 0.5 * (alpha - beta)
         h_u = 0.5 * (alpha + beta)
         sig = self.sigma_v / math.sqrt(2.0)
-        w = np.exp(-0.5 * ((h_c - self.v_c) / sig) ** 2) * np.exp(
-            -0.5 * (h_u / sig) ** 2
-        )
+        with np.errstate(over="ignore"):  # a far hysteron's weight is 0
+            w = np.exp(-0.5 * ((h_c - self.v_c) / sig) ** 2) * np.exp(
+                -0.5 * (h_u / sig) ** 2
+            )
         # Drop numerically irrelevant hysterons so the density has bounded
         # support: inputs below the smallest surviving threshold are exactly
         # reversible, and every occupancy sum shrinks accordingly.

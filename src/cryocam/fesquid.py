@@ -49,12 +49,17 @@ class FeSquidDevice:
 
 def critical_current_at(p: float, sc: SuperconductorParams, t_op: float) -> float:
     """Critical current (A) at remnant-polarization fraction ``p``."""
-    t_c = tc_from_polarization(p, sc)
+    t_c = tc_from_polarization(float(p), sc)  # in floats an overflow is inf, silently
     if t_op >= t_c:
         raise DomainError(
             f"device is normal: t_op={t_op} K >= T_C({p:+.3f})={t_c:.4g} K"
         )
-    return ab_critical_current(bcs_gap(t_op, t_c), t_op, sc.r_n)
+    try:
+        return ab_critical_current(bcs_gap(t_op, t_c), t_op, sc.r_n)
+    except ZeroDivisionError as exc:  # 2 q_e R_N or 2 k_B T underflowed to 0
+        raise DomainError(
+            f"critical current undefined at t_op={t_op} K, r_n={sc.r_n} ohm"
+        ) from exc
 
 
 def critical_current(dev: FeSquidDevice) -> float:

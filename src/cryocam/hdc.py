@@ -314,7 +314,9 @@ def energy_sweep(
     rows = []
     for block in block_sizes:
         block = int(block)
-        if block < 1 or d_bits % block != 0:
+        if block < 1:
+            raise DomainError(f"block size must be >= 1, got {block}")
+        if d_bits % block != 0:
             raise DomainError(f"block size {block} does not divide D={d_bits}")
         m = match_fraction * block
         n_match = round(m)

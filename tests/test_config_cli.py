@@ -1,13 +1,22 @@
 """Config parsing/validation and the command-line surface."""
 
+import contextlib
+import io
 import json
+import math
+import re
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cryocam import cli
 from cryocam.cli import main
 from cryocam.config import DEFAULTS, build_config, parse_config
-from cryocam.errors import ConfigError
+from cryocam.errors import ConfigError, CryocamError
 from cryocam.ferroelectric import PreisachModel
 from cryocam.fesquid import RcsjParams
 from cryocam.hdc import save_model, synthetic_corpus, train
@@ -125,6 +134,85 @@ class TestConfigParsing:
             "hdc_block_size",
             "seed",
         }
+
+
+def _key_values(outside: bool):
+    """(key, value) pairs inside each key's declared range, or outside it
+    (NaN and the infinities included for float keys).  ``fe_grid_n``
+    stays small: validation walks a Preisach grid of that many points a
+    side."""
+
+    def for_key(key):
+        default, op, bound, _ = DEFAULTS[key]
+        if isinstance(default, int):
+            lowest = bound + (op == ">")
+            if outside:
+                return st.integers(lowest - 10**6, lowest - 1)
+            return st.integers(lowest, 128 if key == "fe_grid_n" else 10**9)
+        if outside:
+            below = st.floats(max_value=bound, exclude_max=op == ">=")
+            return below | st.sampled_from([math.nan, math.inf])
+        return st.floats(
+            bound, sys.float_info.max, exclude_min=op == ">", allow_infinity=False
+        )
+
+    return st.sampled_from(sorted(DEFAULTS)).flatmap(
+        lambda key: st.tuples(st.just(key), for_key(key))
+    )
+
+
+def _outcome(route, settings: dict):
+    """The RunConfig values ``route`` builds, or its error messages with
+    the ``line N:``/``override:`` prefix of where a value came from
+    removed."""
+    try:
+        return route(settings).values
+    except CryocamError as exc:
+        messages = getattr(exc, "violations", None) or [str(exc)]
+        return type(exc), [re.sub(r"^(line \d+|override): ", "", m) for m in messages]
+
+
+def _from_file(settings: dict):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        return parse_config(path)
+
+
+def _from_set_flags(settings: dict):
+    argv = [arg for k, v in settings.items() for arg in ("--set", f"{k}={v}")]
+    return cli._load_config(cli._build_parser().parse_args([*argv, "fe", "sweep"]))
+
+
+class TestConfigRoutes:
+    @given(pairs=st.lists(_key_values(outside=False), min_size=1, max_size=3,
+                          unique_by=lambda pair: pair[0]))
+    def test_file_and_overrides_agree(self, pairs):
+        settings = {key: repr(value) for key, value in pairs}
+        by_file = _outcome(_from_file, settings)
+        assert _outcome(lambda s: parse_config(None, s), settings) == by_file
+        assert _outcome(_from_set_flags, settings) == by_file
+        if isinstance(by_file, dict):
+            for key, value in pairs:
+                assert by_file[key] == value
+
+    @given(pair=_key_values(outside=True))
+    def test_out_of_range_value_exits_3_naming_the_key(self, pair):
+        key, value = pair
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+                io.StringIO()
+            ):
+                code = main(["--set", f"{key}={value!r}", "--out", str(out),
+                             "tcam", "calibrate"])
+            assert not out.exists()
+        assert code == 3
+        (line,) = err.getvalue().strip().splitlines()
+        payload = json.loads(line)
+        assert payload["error_category"] == "validation"
+        assert any(message.startswith(key) for message in payload["messages"])
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -256,6 +344,19 @@ class TestCliDeviceAndFe:
         assert lines[0] == "i_bias_A,v_avg_V,state_label,model"
         assert len(lines) == 14
         assert lines[1].endswith("ic_high,behavioral")
+
+    def test_device_iv_reads_the_state_a_full_write_leaves(self, tmp_path):
+        # at V_WRITE = 1.5 V one write from the fresh state leaves remnant
+        # 0.945, I_C = 2.181 uA; the +1 remnant a saturating drive left
+        # once gave 2.114 uA, so 2.15 uA read resistive
+        code, out = run_cli(
+            ["--set", "v_write_V=1.5", "device", "iv", "--state", "low",
+             "--i-max-uA", "2.15", "--points", "2"],
+            tmp_path,
+        )
+        assert code == 0
+        top = (out / "device_iv.csv").read_text().splitlines()[-1].split(",")
+        assert top[:2] == ["2.15e-06", "0"]
 
     def test_fe_sweep_emits_branch_column(self, tmp_path):
         code, out = run_cli(
@@ -391,6 +492,52 @@ class TestCliHdc:
         assert trained == [["en", "fr"]]
         row = (out / "hdc_sweep.csv").read_text().splitlines()[1].split(",")
         assert float(row[-1]) == 1.0
+
+    @pytest.mark.parametrize(
+        ("block", "message"),
+        [("-10", "block size must be >= 1, got -10"),
+         ("0", "block size must be >= 1, got 0"),
+         ("3", "block size 3 does not divide D=10000")],
+        ids=["negative", "zero", "non-divisor"],
+    )
+    def test_sweep_block_size_is_checked(self, block, message, tmp_path, capsys):
+        # a block of -10 was once said not to divide D=10000
+        code, out = run_cli(["hdc", "sweep", "--block", block], tmp_path)
+        assert code == 3
+        assert error_payload(capsys)["messages"] == [message]
+        assert not out.exists()
+
+    def test_sweep_accuracy_needs_two_texts_per_class(self, tmp_path, capsys):
+        # the hold-out once took the only text and blamed train()
+        code, out = run_cli(
+            ["hdc", "sweep", "--d", "64", "--block", "8", "--accuracy",
+             "--classes", "2", "--texts-per-class", "1", "--text-len", "50"],
+            tmp_path,
+        )
+        assert code == 3
+        assert error_payload(capsys)["messages"] == [
+            "--accuracy holds out texts and needs >= 2 per class; "
+            "class 'lang00' has 1"
+        ]
+        assert not out.exists()
+
+    def test_sweep_accuracy_names_a_one_text_corpus_class(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        for label, count in (("en", 3), ("fr", 1)):
+            (corpus / label).mkdir(parents=True)
+            for i in range(count):
+                (corpus / label / f"{i}.txt").write_text("le chat " * 10)
+        code, out = run_cli(
+            ["hdc", "sweep", "--d", "64", "--block", "8", "--accuracy",
+             "--corpus", str(corpus)],
+            tmp_path,
+        )
+        assert code == 3
+        assert error_payload(capsys)["messages"] == [
+            "--accuracy holds out texts and needs >= 2 per class; "
+            "class 'fr' has 1"
+        ]
+        assert not out.exists()
 
 
 class TestCliErrors:
@@ -682,6 +829,62 @@ class TestCliErrors:
         (message,) = payload["messages"]
         assert message.startswith("exact mode requires I_C,low < I_RWL < I_C,high")
         assert list(out.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("i_rwl", ["2.25", "4.1"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["device", "iv"],
+            ["fe", "sweep"],
+            ["tcam", "search", "--mode", "exact", "--store", "s", "--keys", "k"],
+            ["tcam", "calibrate"],
+            ["hdc", "train"],
+            ["hdc", "infer", "--model", "m", "--text", "t"],
+            ["hdc", "sweep"],
+        ],
+        ids=lambda args: " ".join(args[:2]),
+    )
+    def test_every_command_checks_the_state_tables_window(
+        self, args, i_rwl, tmp_path, capsys
+    ):
+        # config once checked the fully written device's (2.11, 4.19) uA,
+        # so device iv and hdc sweep ran where every array command failed
+        code, out = run_cli(["--set", f"i_rwl_exact_uA={i_rwl}", *args], tmp_path)
+        assert code == 3
+        (message,) = error_payload(capsys)["messages"]
+        assert message.startswith("exact mode requires I_C,low < I_RWL < I_C,high")
+        assert message.endswith("window (2.304e-06, 4.037e-06) A")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("setting", "message"),
+        [
+            ("r_n_ohm=1e-306", "critical current undefined at t_op=4.0 K"),
+            ("t_op_K=1e-305", "critical current undefined at t_op=1e-305 K"),
+            ("fe_sigma_v_V=1e308", "v_c + 5 sigma_v = inf V gives no finite grid"),
+        ],
+        ids=["r_n", "t_op", "sigma"],
+    )
+    def test_extreme_in_range_value_exits_3(
+        self, setting, message, tmp_path, capsys
+    ):
+        # a ZeroDivisionError traceback or numpy overflow warnings once
+        # escaped the one JSON error line
+        code, out = run_cli(["--set", setting, "hdc", "sweep"], tmp_path)
+        assert code == 3
+        (line,) = error_payload(capsys)["messages"]
+        assert line.startswith(message)
+        assert not out.exists()
+
+    def test_narrow_switching_spread_builds_without_warnings(self, tmp_path, capsys):
+        # far hysterons' weight exponents once overflowed with a warning
+        code, out = run_cli(
+            ["--set", "fe_sigma_v_V=1e-300", "fe", "sweep", "--points-per-leg",
+             "5", "--cycles", "1"],
+            tmp_path,
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_negative_i_max_names_the_flag(self, tmp_path, capsys):
         code, out = run_cli(
