@@ -39,6 +39,7 @@ from .hdc import (
     save_model,
     synthetic_corpus,
     train,
+    train_and_score,
 )
 from .tcam import (
     SearchKey,
@@ -273,12 +274,12 @@ def _corpus_from_args(args, cfg: RunConfig) -> dict:
 
 def cmd_hdc_train(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     corpus = _corpus_from_args(args, cfg)
-    model = train(corpus, d=cfg["hdc_d_bits"], n_gram=cfg["hdc_n_gram"],
-                  seed=cfg["seed"])
+    model, train_acc = train_and_score(
+        corpus, d=cfg["hdc_d_bits"], n_gram=cfg["hdc_n_gram"], seed=cfg["seed"]
+    )
     model_path = Path(args.model_out) if args.model_out else out_dir / "hdc_model.json"
     _make_dir(model_path.parent)
     save_model(model, model_path)
-    train_acc = accuracy_eval(model, corpus, engine="exact")
     print(
         f"trained {len(model.labels)} classes at D={model.d}, "
         f"n_gram={model.n_gram}; training accuracy {train_acc:.3f}"

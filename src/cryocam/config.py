@@ -10,6 +10,7 @@ the whole file and reports every violation, not just the first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -123,25 +124,33 @@ class RunConfig:
             average_periods=v["rcsj_average_periods"],
         )
 
-    def make_array(self, rows: int, cols: int) -> TcamArray:
-        v = self.values
+    @functools.cached_property
+    def _template(self) -> TcamArray:
+        """The 1 x 1 array whose construction walks the state table and
+        binds the row record; made on first use and kept on this config."""
         return TcamArray(
-            rows,
-            cols,
+            1,
+            1,
             fe_model=self.fe_model(),
             sc=self.superconductor(),
-            t_op=v["t_op_K"],
+            t_op=self.values["t_op_K"],
             bias=self.bias(),
         )
+
+    def make_array(self, rows: int, cols: int) -> TcamArray:
+        """A fresh array; every array of one config shares its state table,
+        so the Preisach walk runs once per config, at validation."""
+        return self._template.blank(rows, cols)
 
     def critical_window(self) -> tuple[float, float]:
         """(I_C,low, I_C,high) in A at saturation remnants."""
         return critical_window(self.superconductor(), self.values["t_op_K"])
 
 
-def validate_values(values: dict) -> list[str]:
-    """All constraint violations for a fully populated value dict."""
-    v = values
+def _violations(cfg: RunConfig) -> list[str]:
+    """All constraint violations of a fully populated config; once every
+    key is in range, the config's array template is built here."""
+    v = cfg.values
     problems = []
     for key, (_, op, bound, _) in DEFAULTS.items():
         x = v[key]
@@ -171,7 +180,6 @@ def validate_values(values: dict) -> list[str]:
             f"r_low_state_ohm must exceed r_high_state_ohm, got "
             f"{v['r_low_state_ohm']} <= {v['r_high_state_ohm']}"
         )
-    cfg = RunConfig(values=dict(values))
     if not superconducting:  # a normal device has no window: no Preisach walk
         return problems + operating_problems(cfg.bias(), v["fe_v_c_V"], None)
     try:  # binding the row record checks every rule over the state table
@@ -237,8 +245,9 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
         _assign(values, key, raw, f"line {lineno}: ", problems)
     for key, raw in (overrides or {}).items():
         _assign(values, key, raw, "override: ", problems)
+    cfg = RunConfig(values=values)
     if not problems:
-        problems = validate_values(values)
+        problems = _violations(cfg)
     if problems:
         raise ConfigError(problems)
-    return RunConfig(values=values)
+    return cfg

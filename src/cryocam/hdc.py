@@ -13,7 +13,7 @@ from __future__ import annotations
 import base64
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -82,10 +82,11 @@ def majority_bundle(vectors: np.ndarray, tie_break: np.ndarray) -> np.ndarray:
 
 
 def _majority(counts: np.ndarray, n: int, tie_break: np.ndarray) -> np.ndarray:
-    """Majority bits from per-bit counts of ones over ``n`` bundled rows."""
-    out = (2 * counts > n).astype(np.uint8)
-    tie = 2 * counts == n
-    out[tie] = tie_break[tie]
+    """Majority bits from per-bit counts of ones over ``n`` bundled rows:
+    a count above n // 2 is a majority, and only an even ``n`` can tie."""
+    out = (counts > n // 2).astype(np.uint8)
+    if n % 2 == 0:
+        np.copyto(out, tie_break, where=counts == n // 2)
     return out
 
 
@@ -151,36 +152,77 @@ def encode_text(text: str, item: ItemMemory, n_gram: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HdcModel:
-    """Trained class vectors plus everything needed to replay them."""
+    """Trained class vectors plus everything needed to replay them.
+
+    ``item`` is the item memory the model was trained with, when known;
+    it is rebuilt from (d, seed) otherwise."""
 
     labels: tuple[str, ...]
     class_vectors: dict
     d: int
     n_gram: int
     seed: int
+    item: ItemMemory | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.item is not None and (self.item.d, self.item.seed) != (
+            self.d, self.seed
+        ):
+            raise DomainError(
+                f"item memory (d={self.item.d}, seed={self.item.seed}) is not "
+                f"the model's (d={self.d}, seed={self.seed})"
+            )
 
     def item_memory(self) -> ItemMemory:
-        return ItemMemory(self.d, self.seed)
+        return self.item or ItemMemory(self.d, self.seed)
+
+
+def _encode_corpus(corpus: dict, item: ItemMemory, n_gram: int):
+    """(label, [hypervector, ...]) for each label in alphabetical order,
+    one ``encode_text`` per text; lazily, so a caller that goes through
+    it once holds one label's encodings at a time."""
+    for label in sorted(corpus):
+        yield label, [encode_text(t, item, n_gram) for t in corpus[label]]
+
+
+def _bundle(encoded, item: ItemMemory, n_gram: int) -> HdcModel:
+    """One class vector per label of ``_encode_corpus`` output: the
+    majority bundle of that label's encodings."""
+    class_vectors = {}
+    for label, vectors in encoded:
+        if not vectors:
+            raise UsageError(f"class {label!r} has no training texts")
+        class_vectors[label] = majority_bundle(np.stack(vectors), item.tie_break)
+    if not class_vectors:
+        raise UsageError("corpus has no classes")
+    return HdcModel(
+        labels=tuple(class_vectors),
+        class_vectors=class_vectors,
+        d=item.d,
+        n_gram=n_gram,
+        seed=item.seed,
+        item=item,
+    )
 
 
 def train(corpus: dict, d: int, n_gram: int, seed: int) -> HdcModel:
     """Build one class vector per label by majority-bundling the
     encodings of that label's texts.  Labels are ordered alphabetically;
-    ties in downstream argmin resolve to the lowest label index."""
-    if not corpus:
-        raise UsageError("corpus has no classes")
+    ties in downstream argmin resolve to the lowest label index.  The
+    model keeps its item memory, so scoring it builds no other."""
     item = ItemMemory(d, seed)
-    labels = tuple(sorted(corpus))
-    class_vectors = {}
-    for label in labels:
-        texts = corpus[label]
-        if not texts:
-            raise UsageError(f"class {label!r} has no training texts")
-        encodings = np.stack([encode_text(t, item, n_gram) for t in texts])
-        class_vectors[label] = majority_bundle(encodings, item.tie_break)
-    return HdcModel(
-        labels=labels, class_vectors=class_vectors, d=d, n_gram=n_gram, seed=seed
-    )
+    return _bundle(_encode_corpus(corpus, item, n_gram), item, n_gram)
+
+
+def train_and_score(
+    corpus: dict, d: int, n_gram: int, seed: int
+) -> tuple[HdcModel, float]:
+    """``train`` plus the exact engine's accuracy on the training texts,
+    from one encoding of each text."""
+    item = ItemMemory(d, seed)
+    encoded = list(_encode_corpus(corpus, item, n_gram))
+    model = _bundle(encoded, item, n_gram)
+    return model, _score(model, encoded)
 
 
 def hamming(a: np.ndarray, b: np.ndarray) -> int:
@@ -218,6 +260,27 @@ class BlockPlan:
             raise DomainError(f"block_size must be >= 1, got {self.block_size}")
 
 
+def block_tables(
+    block: int, counts: np.ndarray, bias: BiasConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-count tables of an HD-mode row of ``block`` bits, indexed by
+    matched-bit count: the Hamming distance decoded from the ML voltage
+    (int64) and the search energy in J (float64).
+
+    The closed form, its inverse and the search energy are evaluated
+    once per distinct count in ``counts``; the entries of counts that do
+    not occur stay 0.
+    """
+    i_rwl = bias.i_rwl_hd
+    distance = np.zeros(block + 1, dtype=np.int64)
+    energy = np.zeros(block + 1)
+    for m in np.flatnonzero(np.bincount(counts.ravel())).tolist():
+        v_ml = ml_voltage_closed_form(block, m, i_rwl, bias)
+        distance[m] = block - invert_ml_voltage_closed_form(v_ml, block, i_rwl, bias)
+        energy[m] = search_energy(v_ml, block, i_rwl, bias.t_search)
+    return distance, energy
+
+
 def infer_tcam(
     model: HdcModel, query: np.ndarray, plan: BlockPlan
 ) -> tuple[str, dict, dict]:
@@ -228,11 +291,14 @@ def infer_tcam(
     decoded counts accumulate into per-class Hamming distances.  Returns
     (label, per-class HD, per-class energy in J).
 
-    The per-block matched counts of all classes come from one array
-    comparison.  The closed form, its inverse and the search energy are
-    evaluated once per distinct count and gathered; each class's block
-    energies add in block order, so every value equals the block-by-block
-    scalar evaluation to the last bit.
+    The per-block matched counts of all classes come from one comparison
+    and one reduction: the (classes, D) match matrix, viewed as uint8, is
+    summed per block in the narrowest unsigned dtype that holds
+    ``block``.  ``block_tables`` evaluates the closed form, its inverse
+    and the search energy once per distinct count, and the narrow counts
+    index its tables directly.  Each class's block energies add in block
+    order, so every value equals the block-by-block scalar evaluation to
+    the last bit.
     """
     if query.shape != (model.d,):
         raise UsageError(f"query has shape {query.shape}, expected ({model.d},)")
@@ -242,21 +308,19 @@ def infer_tcam(
             raise UsageError(
                 f"class {label!r} has shape {shape}, expected ({model.d},)"
             )
-    block, bias = plan.block_size, plan.bias
-    i_rwl, t_search = bias.i_rwl_hd, bias.t_search
+    block = plan.block_size
     rows = np.stack([model.class_vectors[label] for label in model.labels])
-    # padding bits compare equal, so they pad the mismatch matrix as False
-    mismatched = np.pad(rows != query, ((0, 0), (0, -model.d % block)))
-    matches = block - mismatched.reshape(len(rows), -1, block).sum(axis=2)
-    # tables indexed by matched count, filled only where a count occurs
-    decoded = np.zeros(block + 1, dtype=np.int64)
-    energy = np.zeros(block + 1)
-    for m in np.flatnonzero(np.bincount(matches.ravel())).tolist():
-        v_ml = ml_voltage_closed_form(block, m, i_rwl, bias)
-        decoded[m] = invert_ml_voltage_closed_form(v_ml, block, i_rwl, bias)
-        energy[m] = search_energy(v_ml, block, i_rwl, t_search)
-    hd = (block - decoded[matches]).sum(axis=1)
-    energies = np.add.accumulate(energy[matches], axis=1)[:, -1]
+    matched = (rows == query).view(np.uint8)
+    if model.d % block:  # padding bits compare equal on both sides
+        matched = np.pad(matched, ((0, 0), (0, -model.d % block)), constant_values=1)
+    counts = np.einsum(
+        "cbk->cb",
+        matched.reshape(len(rows), -1, block),
+        dtype=np.min_scalar_type(block),
+    )
+    distance, energy = block_tables(block, counts, plan.bias)
+    hd = distance.take(counts).sum(axis=1)
+    energies = np.add.accumulate(energy.take(counts), axis=1)[:, -1]
     best = model.labels[int(np.argmin(hd))]
     return (
         best,
@@ -265,23 +329,22 @@ def infer_tcam(
     )
 
 
-def accuracy_eval(
+def _score(
     model: HdcModel,
-    corpus: dict,
+    encoded,
     engine: str = "exact",
     plan: BlockPlan | None = None,
 ) -> float:
-    """Fraction of texts labeled correctly by the chosen engine."""
+    """Fraction of the hypervectors in ``_encode_corpus`` output labeled
+    correctly by the chosen engine."""
     if engine not in ("exact", "tcam"):
         raise UsageError(f"engine must be 'exact' or 'tcam', got {engine!r}")
     if engine == "tcam" and plan is None:
         plan = BlockPlan()
-    item = model.item_memory()
     total = 0
     correct = 0
-    for label, texts in sorted(corpus.items()):
-        for text in texts:
-            query = encode_text(text, item, model.n_gram)
+    for label, queries in encoded:
+        for query in queries:
             if engine == "exact":
                 predicted, _ = infer_exact(model, query)
             else:
@@ -291,6 +354,17 @@ def accuracy_eval(
     if total == 0:
         raise UsageError("evaluation corpus is empty")
     return correct / total
+
+
+def accuracy_eval(
+    model: HdcModel,
+    corpus: dict,
+    engine: str = "exact",
+    plan: BlockPlan | None = None,
+) -> float:
+    """Fraction of texts labeled correctly by the chosen engine."""
+    encoded = _encode_corpus(corpus, model.item_memory(), model.n_gram)
+    return _score(model, encoded, engine, plan)
 
 
 def energy_sweep(

@@ -18,6 +18,7 @@ low-I_C device exactly when the bit matches.
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -127,8 +128,7 @@ class TcamArray:
         t_op: float = 4.0,
         bias: BiasConfig | None = None,
     ):
-        if rows < 1 or cols < 1:
-            raise DomainError("array must have at least one row and column")
+        _check_shape(rows, cols)
         if t_op <= 0.0:
             raise DomainError(f"t_op must be > 0 K, got {t_op}")
         self.rows = rows
@@ -164,6 +164,16 @@ class TcamArray:
         if problems:
             raise ConfigError(problems)
         self._bias = bias
+
+    def blank(self, rows: int, cols: int) -> TcamArray:
+        """A fresh rows x cols array built like this one: it shares the
+        devices' parameters, the (read-only) state table and the row
+        record, so no Preisach walk runs and no rule is checked again."""
+        _check_shape(rows, cols)
+        array = copy.copy(self)
+        array.rows, array.cols = rows, cols
+        array.ids = np.zeros((rows, cols, 2), dtype=np.int32)
+        return array
 
     @property
     def exact_window(self) -> tuple[float, float]:
@@ -220,6 +230,11 @@ def _state_table(
             pulse_map.append(sid)
     remnants = np.array([remnant_fraction(fe) for fe in states])
     return states, remnants, {v: np.array(m, dtype=np.int32) for v, m in maps.items()}
+
+
+def _check_shape(rows: int, cols: int):
+    if rows < 1 or cols < 1:
+        raise DomainError("array must have at least one row and column")
 
 
 def _check_address(array: TcamArray, row: int, col: int):

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cryocam import cli
+from cryocam import cli, tcam
 from cryocam.cli import main
 from cryocam.config import DEFAULTS, build_config, parse_config
 from cryocam.errors import ConfigError, CryocamError
 from cryocam.ferroelectric import PreisachModel
 from cryocam.fesquid import RcsjParams
 from cryocam.hdc import save_model, synthetic_corpus, train
-from cryocam.tcam import BiasConfig
+from cryocam.tcam import BiasConfig, TcamArray, write_bit
 
 
 class TestConfigParsing:
@@ -943,3 +943,52 @@ class TestCliErrors:
         code = main(["tcam", "calibrate"])
         assert code == 0
         assert (target / "tcam_calibrate.json").exists()
+
+
+class TestOneStateTableWalk:
+    """Config validation walks the Preisach state table once, and every
+    array the command then builds shares that table."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        real = tcam._state_table
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tcam, "_state_table", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["device", "iv", "--points", "3"],
+            ["tcam", "search", "--mode", "exact", "--store", "words.txt",
+             "--keys", "keys.txt"],
+            ["tcam", "calibrate"],
+        ],
+        ids=lambda args: " ".join(args[:2]),
+    )
+    def test_each_array_command_walks_once(self, args, walks, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("words.txt").write_text("0101\n1100\n")
+        Path("keys.txt").write_text("01d1\n")
+        code, _ = run_cli(args, tmp_path)
+        assert code == 0
+        assert len(walks) == 1
+
+    def test_arrays_of_one_config_are_independent(self, walks):
+        cfg = build_config({"v_write_V": "1.5"})
+        first, second = cfg.make_array(2, 3), cfg.make_array(4, 1)
+        assert len(walks) == 1
+        assert (second.rows, second.cols, second.ids.shape) == (4, 1, (4, 1, 2))
+        assert first.bias == second.bias == cfg.bias()
+        write_bit(first, 0, 0, 1)
+        assert not second.ids.any()
+        fresh = TcamArray(2, 3, fe_model=cfg.fe_model(), sc=cfg.superconductor(),
+                          t_op=cfg["t_op_K"], bias=cfg.bias())
+        write_bit(fresh, 0, 0, 1)
+        assert first.remnant_signs() == fresh.remnant_signs()
+        assert first.exact_window == fresh.exact_window

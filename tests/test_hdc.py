@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cryocam import hdc
+from cryocam import cli, hdc
 
 from cryocam.config import build_config
 from cryocam.errors import DomainError, UsageError
@@ -582,3 +582,87 @@ class TestModelValidation:
             infer_exact(m, q)
         with pytest.raises(UsageError):
             infer_tcam(m, q, BlockPlan(block_size=block))
+
+
+class TestNarrowBlockCounts:
+    """Block counts are summed in the narrowest unsigned dtype holding the
+    block size, so a block whose bits all match (or all differ) sits at
+    the edge of that dtype."""
+
+    @pytest.mark.parametrize("block", [255, 256, 257, 512])
+    def test_extreme_counts_equal_block_loop(self, block):
+        d = 1300  # no block size here divides it, so the last block pads
+        assert d % block
+        rng = np.random.default_rng([16, block])
+        labels = ("a", "b", "c")
+        m = HdcModel(
+            labels=labels,
+            class_vectors={lb: rng.integers(0, 2, d, dtype=np.uint8) for lb in labels},
+            d=d,
+            n_gram=3,
+            seed=0,
+        )
+        plan = BlockPlan(block_size=block)
+        for label in labels:
+            for q in (m.class_vectors[label], 1 - m.class_vectors[label]):
+                got = infer_tcam(m, q, plan)
+                assert repr(got) == repr(_infer_tcam_ref(m, q, plan))
+                assert got[1] == infer_exact(m, q)[1]
+
+
+class TestEncodeOnce:
+    """``hdc train`` and ``hdc sweep --accuracy`` encode each text once,
+    with one item memory per dimension."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(hdc, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hdc, name, counted)
+        return calls
+
+    def test_train_encodes_each_text_once(self, tmp_path, monkeypatch, capsys):
+        corpus = synthetic_corpus(6, 9, 12, seed=1234)
+        expected = train(corpus, d=16, n_gram=3, seed=1234)
+        accuracy = accuracy_eval(expected, corpus)
+        assert accuracy < 1.0  # the training texts are not all recognised
+        save_model(expected, tmp_path / "expected.json")
+
+        encodes = self._count(monkeypatch, "encode_text")
+        items = self._count(monkeypatch, "ItemMemory")
+        model = tmp_path / "model.json"
+        code = cli.main(
+            ["--set", "hdc_d_bits=16", "--out", str(tmp_path / "out"), "hdc",
+             "train", "--classes", "6", "--texts-per-class", "9", "--text-len",
+             "12", "--model-out", str(model)]
+        )
+        assert code == 0
+        assert len(encodes) == 6 * 9
+        assert len(items) == 1
+        assert model.read_bytes() == (tmp_path / "expected.json").read_bytes()
+        assert f"training accuracy {accuracy:.3f}\n" in capsys.readouterr().out
+
+    def test_sweep_uses_one_item_memory_per_dimension(self, tmp_path, monkeypatch):
+        encodes = self._count(monkeypatch, "encode_text")
+        items = self._count(monkeypatch, "ItemMemory")
+        code = cli.main(
+            ["--out", str(tmp_path), "hdc", "sweep", "--accuracy", "--d", "64",
+             "128", "--block", "16", "--classes", "2", "--texts-per-class", "4",
+             "--text-len", "60"]
+        )
+        assert code == 0
+        assert len(items) == 2
+        assert len(encodes) == 2 * 2 * 4  # every text once per dimension
+        corpus = synthetic_corpus(2, 4, 60, seed=1234)
+        train_set = {lb: texts[:3] for lb, texts in corpus.items()}
+        test_set = {lb: texts[3:] for lb, texts in corpus.items()}
+        rows = (tmp_path / "hdc_sweep.csv").read_text().splitlines()[1:]
+        for d, row in zip((64, 128), rows):
+            model = train(train_set, d=d, n_gram=3, seed=1234)
+            accuracy = accuracy_eval(model, test_set)
+            assert row.split(",")[-1] == format(accuracy, ".9g")
