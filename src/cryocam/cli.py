@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, parse_config, split_assignment
+from .config import RunConfig, parse_config, range_problem, split_assignment
 from .errors import ConfigError, CryocamError, DomainError, NumericError, UsageError
 from .fesquid import FeSquidDevice, branch_voltage, simulate_rcsj_iv
 from .ferroelectric import apply_waveform
@@ -126,10 +125,6 @@ def _out_dir(args) -> Path:
 
 
 def cmd_device_iv(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
-    if args.points < 1:
-        raise UsageError(f"--points must be >= 1, got {args.points}")
-    if not math.isfinite(args.i_max_uA) or args.i_max_uA < 0:
-        raise UsageError(f"--i-max-uA must be finite and >= 0, got {args.i_max_uA}")
     array = cfg.make_array(1, 1)  # fs1 as a full write of 1 (high I_C) or 0 leaves it
     write_bit(array, 0, 0, int(args.state == "high"))
     dev = FeSquidDevice(array.fe_state(0, 0, 1), array.sc, array.t_op)
@@ -153,12 +148,6 @@ def cmd_device_iv(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 def cmd_fe_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     leg = args.points_per_leg
     v_max = args.v_max_V
-    if not math.isfinite(v_max):
-        raise UsageError(f"--v-max-V must be finite, got {v_max}")
-    if leg < 1:
-        raise UsageError(f"--points-per-leg must be >= 1, got {leg}")
-    if args.cycles < 0:
-        raise UsageError(f"--cycles must be >= 0, got {args.cycles}")
     state = cfg.fe_model().initial_state()
     up = np.linspace(-v_max, v_max, leg)
     down = np.linspace(v_max, -v_max, leg)
@@ -221,11 +210,6 @@ def cmd_tcam_search(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_tcam_calibrate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
-    for flag, x in (
-        ("--binary-aJ", args.binary_aJ), ("--ternary-aJ", args.ternary_aJ)
-    ):
-        if not (math.isfinite(x) and x > 0):
-            raise UsageError(f"{flag} must be finite and > 0, got {x}")
     array = cfg.make_array(1, 1)
     i_rwl, r_fs = calibrate_exact_bias(
         array, args.binary_aJ * 1e-18, args.ternary_aJ * 1e-18
@@ -308,11 +292,6 @@ def cmd_hdc_infer(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_hdc_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
-    for d in args.d:
-        if d < 1:
-            raise UsageError(f"--d must be >= 1, got {d}")
-    if not 0.0 <= args.match <= 1.0:
-        raise UsageError(f"--match must be in [0, 1], got {args.match}")
     if args.accuracy:
         train_set, test_set = {}, {}
         for label, texts in _corpus_from_args(args, cfg).items():
@@ -339,6 +318,14 @@ def cmd_hdc_sweep(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
             accuracy = accuracy_eval(model, test_set, engine="exact")
         rows.extend([*(entry[c] for c in columns), accuracy] for entry in table)
     return [_write_csv(out_dir / "hdc_sweep.csv", [*columns, "accuracy"], rows)]
+
+
+def _number(parser, flag: str, default, op: str, bound, **kw):
+    """Add a numeric flag (of its default's type unless ``type`` is given)
+    and declare its range, which ``main`` checks with ``range_problem``."""
+    action = parser.add_argument(flag, default=default, **{"type": type(default), **kw})
+    ranges = (*(parser.get_default("ranges") or ()), (flag, action.dest, op, bound))
+    parser.set_defaults(ranges=ranges)
 
 
 @functools.cache
@@ -369,16 +356,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="stored critical-current state")
     iv.add_argument("--model", choices=["behavioral", "rcsj"],
                     default="behavioral")
-    iv.add_argument("--i-max-uA", type=float, default=6.0)
-    iv.add_argument("--points", type=int, default=61)
+    _number(iv, "--i-max-uA", 6.0, ">=", 0)
+    _number(iv, "--points", 61, ">=", 1)
     iv.set_defaults(func=cmd_device_iv, name="device iv")
 
     fe = sub.add_parser("fe", help="ferroelectric characterization")
     fe_sub = fe.add_subparsers(dest="command", required=True)
     sweep = fe_sub.add_parser("sweep", help="polarization-voltage loop")
-    sweep.add_argument("--v-max-V", type=float, default=2.0)
-    sweep.add_argument("--points-per-leg", type=int, default=101)
-    sweep.add_argument("--cycles", type=int, default=2)
+    _number(sweep, "--v-max-V", 2.0, ">", float("-inf"))  # any finite voltage
+    _number(sweep, "--points-per-leg", 101, ">=", 1)
+    _number(sweep, "--cycles", 2, ">=", 0)
     sweep.set_defaults(func=cmd_fe_sweep, name="fe sweep")
 
     tcam = sub.add_parser("tcam", help="TCAM array operations")
@@ -393,8 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     calibrate = tcam_sub.add_parser(
         "calibrate", help="recover exact-mode bias from energy targets"
     )
-    calibrate.add_argument("--binary-aJ", type=float, default=1.36)
-    calibrate.add_argument("--ternary-aJ", type=float, default=26.5)
+    _number(calibrate, "--binary-aJ", 1.36, ">", 0)
+    _number(calibrate, "--ternary-aJ", 26.5, ">", 0)
     calibrate.set_defaults(func=cmd_tcam_calibrate, name="tcam calibrate")
 
     hdc = sub.add_parser("hdc", help="hyperdimensional-computing workload")
@@ -403,10 +390,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def corpus_flags(p):
         p.add_argument("--corpus",
                        help="directory with one subdirectory of *.txt per label")
-        p.add_argument("--classes", type=int, default=3,
-                       help="synthetic corpus classes (no --corpus)")
-        p.add_argument("--texts-per-class", type=int, default=20)
-        p.add_argument("--text-len", type=int, default=2000)
+        _number(p, "--classes", 3, ">=", 1,
+                help="synthetic corpus classes (no --corpus)")
+        _number(p, "--texts-per-class", 20, ">=", 1)
+        _number(p, "--text-len", 2000, ">=", 1)
 
     train_p = hdc_sub.add_parser("train", help="train class vectors")
     corpus_flags(train_p)
@@ -420,10 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
     infer_p.set_defaults(func=cmd_hdc_infer, name="hdc infer")
 
     sweep_p = hdc_sub.add_parser("sweep", help="energy/accuracy sweep")
-    sweep_p.add_argument("--d", type=int, nargs="+", default=[10000])
-    sweep_p.add_argument("--block", type=int, nargs="+",
-                         default=[10, 50, 100, 500])
-    sweep_p.add_argument("--match", type=float, default=0.5)
+    _number(sweep_p, "--d", [10000], ">=", 1, type=int, nargs="+")
+    _number(sweep_p, "--block", [10, 50, 100, 500], ">=", 1, type=int, nargs="+")
+    _number(sweep_p, "--match", 0.5, "in", [0, 1])
     sweep_p.add_argument("--accuracy", action="store_true",
                          help="also train/evaluate on the corpus")
     corpus_flags(sweep_p)
@@ -446,6 +432,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        problems = [  # each declared flag of the command against its range
+            problem
+            for flag, dest, op, bound in getattr(args, "ranges", ())
+            for value in [getattr(args, dest)]  # a list for an nargs flag
+            for x in (value if isinstance(value, list) else [value])
+            if (problem := range_problem(flag, x, op, bound))
+        ]
+        if problems:
+            raise ConfigError(problems)
         cfg = _load_config(args)
         out_dir = _out_dir(args)
         outputs = args.func(args, cfg, out_dir)

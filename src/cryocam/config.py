@@ -22,7 +22,7 @@ from .ferroelectric import PreisachModel
 from .tcam import BiasConfig, TcamArray, operating_problems
 
 # key -> (default in config units, op, bound, description).  A key has
-# its default's type; a valid value is finite and ``value op bound``.
+# its default's type; a valid value is one ``range_problem`` passes.
 DEFAULTS = {
     # superconductor & FeSQUID
     "t_c_base_K": (9.2, ">", 0, "critical temperature at neutral polarization"),
@@ -147,6 +147,17 @@ class RunConfig:
         return critical_window(self.superconductor(), self.values["t_op_K"])
 
 
+def range_problem(name: str, x, op: str, bound) -> str | None:
+    """Why ``x`` breaks ``name``'s declared range, or None: a float must be
+    finite and ``x op bound`` hold, ``op`` one of ">", ">=", "in" [lo, hi]."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return f"{name} must be finite, got {x}"
+    lo, hi = bound if op == "in" else (bound, math.inf)
+    if (x > lo if op == ">" else x >= lo) and x <= hi:
+        return None
+    return f"{name} must be {op} {bound}, got {x}"
+
+
 def _violations(cfg: RunConfig) -> list[str]:
     """All constraint violations of a fully populated config; once every
     key is in range, the config's array template is built here."""
@@ -154,10 +165,8 @@ def _violations(cfg: RunConfig) -> list[str]:
     problems = []
     for key, (_, op, bound, _) in DEFAULTS.items():
         x = v[key]
-        if isinstance(x, float) and not math.isfinite(x):
-            problems.append(f"{key} must be finite, got {x}")
-        elif not (x > bound if op == ">" else x >= bound):
-            problems.append(f"{key} must be {op} {bound}, got {x}")
+        if problem := range_problem(key, x, op, bound):
+            problems.append(problem)
         elif key.endswith(tuple(_SI_EXPONENTS)) and not (
             0.0 < (si := _si(v, key)) < math.inf
         ):  # the value overflowed or underflowed on its way to SI units

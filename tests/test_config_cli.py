@@ -1,5 +1,6 @@
 """Config parsing/validation and the command-line surface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from cryocam import cli, tcam
 from cryocam.cli import main
-from cryocam.config import DEFAULTS, build_config, parse_config
+from cryocam.config import DEFAULTS, build_config, parse_config, range_problem
 from cryocam.errors import ConfigError, CryocamError
 from cryocam.ferroelectric import PreisachModel
 from cryocam.fesquid import RcsjParams
@@ -495,8 +496,8 @@ class TestCliHdc:
 
     @pytest.mark.parametrize(
         ("block", "message"),
-        [("-10", "block size must be >= 1, got -10"),
-         ("0", "block size must be >= 1, got 0"),
+        [("-10", "--block must be >= 1, got -10"),
+         ("0", "--block must be >= 1, got 0"),
          ("3", "block size 3 does not divide D=10000")],
         ids=["negative", "zero", "non-divisor"],
     )
@@ -892,7 +893,7 @@ class TestCliErrors:
         )
         assert code == 3
         assert error_payload(capsys)["messages"] == [
-            "--i-max-uA must be finite and >= 0, got -5.0"
+            "--i-max-uA must be >= 0, got -5.0"
         ]
         assert list(out.glob("*.csv")) == []
 
@@ -943,6 +944,133 @@ class TestCliErrors:
         code = main(["tcam", "calibrate"])
         assert code == 0
         assert (target / "tcam_calibrate.json").exists()
+
+
+def _parsers(parser, words=()):
+    """(command words, parser) for ``parser`` and every subparser under it."""
+    yield list(words), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, (*words, name))
+
+
+# (command words, flag, type, op, bound) of every declared numeric flag
+FLAGS = [
+    (words, flag, next(a.type for a in p._actions if a.dest == dest), op, bound)
+    for words, p in _parsers(cli._build_parser())
+    for flag, dest, op, bound in p.get_default("ranges") or ()
+]
+
+
+def _just_outside(entry) -> list:
+    """Values just outside a declared flag's range; for a float flag, NaN
+    and the infinities too."""
+    _, _, kind, op, bound = entry
+    lo, hi = bound if op == "in" else (bound, math.inf)
+    if kind is int:
+        return [lo - (op == ">=")]
+    values = [math.nan, math.inf, -math.inf]
+    if math.isfinite(lo):
+        values.append(float(lo) if op == ">" else math.nextafter(lo, -math.inf))
+    if math.isfinite(hi):
+        values.append(math.nextafter(hi, math.inf))
+    return values
+
+
+def _flag_values(outside: bool):
+    """One (flag entry, value) pair per declared flag, the value inside
+    its range or outside it.  A draw may also take the value at an end of
+    the range or just outside it, so an example can meet every bound."""
+
+    def for_flag(entry):
+        _, _, kind, op, bound = entry
+        lo, hi = bound if op == "in" else (bound, math.inf)
+        if outside:
+            beyond = st.sampled_from(_just_outside(entry))
+            if kind is int:
+                return beyond | st.integers(max_value=lo - (op == ">="))
+            if math.isfinite(lo):
+                beyond |= st.floats(max_value=lo, exclude_max=op != ">")
+            if math.isfinite(hi):
+                beyond |= st.floats(min_value=hi, exclude_min=True)
+            return beyond
+        if kind is int:
+            lowest = lo + (op == ">")
+            return st.just(lowest) | st.integers(min_value=lowest)
+        top = sys.float_info.max
+        first = math.nextafter(lo, math.inf) if op == ">" else float(lo)
+        first, last = max(first, -top), min(float(hi), top)
+        return st.sampled_from([first, last]) | st.floats(first, last)
+
+    return st.tuples(*(st.tuples(st.just(entry), for_flag(entry)) for entry in FLAGS))
+
+
+def _flag_message(flag, x, op, bound) -> str:
+    if isinstance(x, float) and not math.isfinite(x):
+        return f"{flag} must be finite, got {x}"
+    return f"{flag} must be {op} {bound}, got {x}"
+
+
+class TestFlagRanges:
+    def test_every_numeric_flag_declares_its_range(self):
+        # a flag added with a bare add_argument(type=int) would go unchecked
+        for words, parser in _parsers(cli._build_parser()):
+            numeric = [a.dest for a in parser._actions if a.type in (int, float)]
+            declared = [dest for _, dest, *_ in parser.get_default("ranges") or ()]
+            assert numeric == declared, words
+        assert len({flag for _, flag, *_ in FLAGS}) == 13
+
+    @pytest.mark.parametrize(
+        ("entry", "value"),
+        [
+            pytest.param(entry, x, id=f"{' '.join(entry[0])} {entry[1]}={x!r}")
+            for entry in FLAGS
+            for x in _just_outside(entry)
+        ],
+    )
+    def test_value_outside_a_flags_range_exits_3(
+        self, entry, value, tmp_path, capsys
+    ):
+        words, flag, _, op, bound = entry
+        code, out = run_cli([*words, f"{flag}={value!r}"], tmp_path)
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        assert payload["messages"] == [_flag_message(flag, value, op, bound)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("args", "messages"),
+        [
+            # the library once answered "corpus sizes must all be >= 1"
+            (["hdc", "train", "--classes", "0", "--text-len", "0"],
+             ["--classes must be >= 1, got 0", "--text-len must be >= 1, got 0"]),
+            # the first bad flag once hid the others
+            (["hdc", "sweep", "--d", "0", "--block", "0", "--match", "1.5"],
+             ["--d must be >= 1, got 0", "--block must be >= 1, got 0",
+              "--match must be in [0, 1], got 1.5"]),
+        ],
+        ids=["train-corpus", "sweep"],
+    )
+    def test_every_bad_flag_is_listed_in_one_line(
+        self, args, messages, tmp_path, capsys
+    ):
+        code, out = run_cli(args, tmp_path)
+        assert code == 3
+        assert error_payload(capsys)["messages"] == messages
+        assert not out.exists()
+
+    @given(pairs=_flag_values(outside=False))
+    def test_in_range_value_passes(self, pairs):
+        for (_, flag, _, op, bound), x in pairs:
+            assert range_problem(flag, x, op, bound) is None
+
+    @given(pairs=_flag_values(outside=True))
+    def test_out_of_range_value_names_the_flag(self, pairs):
+        for (_, flag, _, op, bound), x in pairs:
+            message = _flag_message(flag, x, op, bound)
+            assert range_problem(flag, x, op, bound) == message
 
 
 class TestOneStateTableWalk:
