@@ -14,6 +14,8 @@ import base64
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -155,10 +157,12 @@ class HdcModel:
     """Trained class vectors plus everything needed to replay them.
 
     ``item`` is the item memory the model was trained with, when known;
-    it is rebuilt from (d, seed) otherwise."""
+    it is rebuilt from (d, seed) otherwise.  ``class_vectors`` is kept as
+    a read-only mapping of read-only copies, so the matrices made from it
+    on first use cannot go stale."""
 
     labels: tuple[str, ...]
-    class_vectors: dict
+    class_vectors: MappingProxyType
     d: int
     n_gram: int
     seed: int
@@ -172,9 +176,40 @@ class HdcModel:
                 f"item memory (d={self.item.d}, seed={self.item.seed}) is not "
                 f"the model's (d={self.d}, seed={self.seed})"
             )
+        frozen = {label: np.array(v) for label, v in self.class_vectors.items()}
+        for v in frozen.values():
+            v.flags.writeable = False
+        object.__setattr__(self, "class_vectors", MappingProxyType(frozen))
 
     def item_memory(self) -> ItemMemory:
         return self.item or ItemMemory(self.d, self.seed)
+
+    @cached_property
+    def class_matrix(self) -> np.ndarray:
+        """The class vectors in label order: a read-only (classes, D)
+        uint8 matrix, stacked on first use and kept.  A model with no
+        labels or a class vector that is not D bits raises UsageError, on
+        every use (a raising build caches nothing)."""
+        if not self.labels:
+            raise UsageError("model has no labels")
+        for label in self.labels:
+            shape = np.shape(self.class_vectors[label])
+            if shape != (self.d,):
+                raise UsageError(
+                    f"class {label!r} has shape {shape}, expected ({self.d},)"
+                )
+        rows = np.stack([self.class_vectors[lb] for lb in self.labels])
+        rows = rows.astype(np.uint8, copy=False)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def packed_classes(self) -> np.ndarray:
+        """``class_matrix`` bit-packed along D: read-only, (classes,
+        ceil(D/8)) uint8, with zero padding bits."""
+        packed = np.packbits(self.class_matrix, axis=1)
+        packed.flags.writeable = False
+        return packed
 
 
 def _encode_corpus(corpus: dict, item: ItemMemory, n_gram: int):
@@ -232,14 +267,20 @@ def hamming(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def infer_exact(model: HdcModel, query: np.ndarray) -> tuple[str, dict]:
-    """Software popcount oracle: per-class Hamming distance, argmin label."""
+    """Software popcount oracle: per-class Hamming distance, argmin label
+    (ties go to the lowest label index).
+
+    One XOR of the model's packed class matrix with the packed query and
+    one popcount per byte, summed per row in the narrowest unsigned dtype
+    that holds D; the padding bits are 0 on both sides."""
     if query.shape != (model.d,):
         raise UsageError(f"query has shape {query.shape}, expected ({model.d},)")
-    distances = {
-        label: hamming(model.class_vectors[label], query) for label in model.labels
-    }
-    best = min(model.labels, key=lambda lb: (distances[lb], model.labels.index(lb)))
-    return best, distances
+    diff = np.bitwise_xor(model.packed_classes, np.packbits(query))
+    distances = np.add.reduce(
+        np.bitwise_count(diff), axis=1, dtype=np.min_scalar_type(model.d)
+    )
+    best = model.labels[int(np.argmin(distances))]
+    return best, dict(zip(model.labels, distances.tolist()))
 
 
 @dataclass(frozen=True)
@@ -259,26 +300,26 @@ class BlockPlan:
         if self.block_size < 1:
             raise DomainError(f"block_size must be >= 1, got {self.block_size}")
 
-
-def block_tables(
-    block: int, counts: np.ndarray, bias: BiasConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-count tables of an HD-mode row of ``block`` bits, indexed by
-    matched-bit count: the Hamming distance decoded from the ML voltage
-    (int64) and the search energy in J (float64).
-
-    The closed form, its inverse and the search energy are evaluated
-    once per distinct count in ``counts``; the entries of counts that do
-    not occur stay 0.
-    """
-    i_rwl = bias.i_rwl_hd
-    distance = np.zeros(block + 1, dtype=np.int64)
-    energy = np.zeros(block + 1)
-    for m in np.flatnonzero(np.bincount(counts.ravel())).tolist():
-        v_ml = ml_voltage_closed_form(block, m, i_rwl, bias)
-        distance[m] = block - invert_ml_voltage_closed_form(v_ml, block, i_rwl, bias)
-        energy[m] = search_energy(v_ml, block, i_rwl, bias.t_search)
-    return distance, energy
+    @cached_property
+    def block_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-count tables of an HD-mode row of ``block_size`` bits,
+        indexed by matched-bit count 0..block_size: the Hamming distance
+        decoded from the ML voltage (int64) and the search energy in J
+        (float64).  Read-only, and made on first use, with the closed
+        form, its inverse and the search energy evaluated once per count.
+        """
+        block, bias, i_rwl = self.block_size, self.bias, self.bias.i_rwl_hd
+        distance = np.zeros(block + 1, dtype=np.int64)
+        energy = np.zeros(block + 1)
+        for m in range(block + 1):
+            v_ml = ml_voltage_closed_form(block, m, i_rwl, bias)
+            distance[m] = block - invert_ml_voltage_closed_form(
+                v_ml, block, i_rwl, bias
+            )
+            energy[m] = search_energy(v_ml, block, i_rwl, bias.t_search)
+        distance.flags.writeable = False
+        energy.flags.writeable = False
+        return distance, energy
 
 
 def infer_tcam(
@@ -292,24 +333,18 @@ def infer_tcam(
     (label, per-class HD, per-class energy in J).
 
     The per-block matched counts of all classes come from one comparison
-    and one reduction: the (classes, D) match matrix, viewed as uint8, is
-    summed per block in the narrowest unsigned dtype that holds
-    ``block``.  ``block_tables`` evaluates the closed form, its inverse
-    and the search energy once per distinct count, and the narrow counts
-    index its tables directly.  Each class's block energies add in block
-    order, so every value equals the block-by-block scalar evaluation to
-    the last bit.
+    of the model's class matrix with the query and one reduction: the
+    (classes, D) match matrix, viewed as uint8, is summed per block in
+    the narrowest unsigned dtype that holds ``block``.  The narrow counts,
+    widened once to one ``intp`` index, gather from the plan's
+    ``block_tables``.  Each class's block energies add in block order, so
+    every value equals the block-by-block scalar evaluation to the last
+    bit.
     """
     if query.shape != (model.d,):
         raise UsageError(f"query has shape {query.shape}, expected ({model.d},)")
-    for label in model.labels:
-        shape = model.class_vectors[label].shape
-        if shape != (model.d,):
-            raise UsageError(
-                f"class {label!r} has shape {shape}, expected ({model.d},)"
-            )
+    rows = model.class_matrix
     block = plan.block_size
-    rows = np.stack([model.class_vectors[label] for label in model.labels])
     matched = (rows == query).view(np.uint8)
     if model.d % block:  # padding bits compare equal on both sides
         matched = np.pad(matched, ((0, 0), (0, -model.d % block)), constant_values=1)
@@ -318,9 +353,10 @@ def infer_tcam(
         matched.reshape(len(rows), -1, block),
         dtype=np.min_scalar_type(block),
     )
-    distance, energy = block_tables(block, counts, plan.bias)
-    hd = distance.take(counts).sum(axis=1)
-    energies = np.add.accumulate(energy.take(counts), axis=1)[:, -1]
+    distance, energy = plan.block_tables
+    index = counts.astype(np.intp)
+    hd = distance.take(index).sum(axis=1)
+    energies = np.add.accumulate(energy.take(index), axis=1)[:, -1]
     best = model.labels[int(np.argmin(hd))]
     return (
         best,
@@ -483,8 +519,9 @@ def load_model(path) -> HdcModel:
     """Read a model written by ``save_model``.
 
     A file that is not valid JSON, lacks a field, or holds a model that
-    inference cannot serve raises UsageError: labels must be non-empty
-    and unique, d >= 8, n_gram >= 1, and every class vector exactly d
+    inference cannot serve raises UsageError: d, n_gram and seed must be
+    JSON integers (not booleans) with d >= 8, n_gram >= 1 and seed >= 0;
+    labels must be non-empty and unique; and every class vector exactly d
     bits.
     """
     try:
@@ -499,9 +536,7 @@ def load_model(path) -> HdcModel:
             f"{path}: unsupported model version {payload.get('version')}"
         )
     try:
-        d = int(payload["d"])
-        n_gram = int(payload["n_gram"])
-        seed = int(payload["seed"])
+        d, n_gram, seed = (payload[name] for name in ("d", "n_gram", "seed"))
         labels = tuple(payload["labels"])
         packed = {
             label: base64.b64decode(payload["class_vectors"][label])
@@ -512,10 +547,15 @@ def load_model(path) -> HdcModel:
             f"{path}: malformed {MODEL_FORMAT} file: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
+    for name, value in (("d", d), ("n_gram", n_gram), ("seed", seed)):
+        if type(value) is not int:  # a float would be truncated, inf overflow
+            raise UsageError(f"{path}: {name} must be an integer, got {value!r}")
     if d < 8:
         raise UsageError(f"{path}: d must be >= 8, got {d}")
     if n_gram < 1:
         raise UsageError(f"{path}: n_gram must be >= 1, got {n_gram}")
+    if seed < 0:
+        raise UsageError(f"{path}: seed must be >= 0, got {seed}")
     if not labels:
         raise UsageError(f"{path}: model has no labels")
     if len(packed) != len(labels):

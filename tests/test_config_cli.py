@@ -613,6 +613,32 @@ class TestCliErrors:
         assert code == 3
         assert error_payload(capsys)["error_category"] == "validation"
 
+    @pytest.mark.parametrize(
+        ("field", "raw", "message"),
+        [
+            ("d", "1e400", "d must be an integer, got inf"),
+            ("seed", "-1e400", "seed must be an integer, got -inf"),
+            ("seed", "-5", "seed must be >= 0, got -5"),
+            ("n_gram", "3.9", "n_gram must be an integer, got 3.9"),
+        ],
+        ids=["huge_d", "huge_negative_seed", "negative_seed", "fractional_n_gram"],
+    )
+    def test_unservable_model_field_exits_3(
+        self, field, raw, message, model_and_text, tmp_path, capsys
+    ):
+        # the raw JSON number as a file would hold it: 1e400 reads as inf
+        model, text = model_and_text
+        payload = json.loads(model.read_text())
+        model.write_text(
+            json.dumps({**payload, field: "VALUE"}).replace('"VALUE"', raw)
+        )
+        code, out = run_cli(
+            ["hdc", "infer", "--model", str(model), "--text", str(text)], tmp_path
+        )
+        assert code == 3
+        assert error_payload(capsys)["messages"] == [f"{model}: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("engine", ["tcam", "exact"])
     def test_model_without_labels_exits_3(
         self, engine, model_and_text, tmp_path, capsys

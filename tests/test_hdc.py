@@ -1,10 +1,14 @@
 """HDC encoding, training, TCAM-backed inference, energy rollup."""
 
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cryocam import cli, hdc
 
@@ -560,8 +564,18 @@ class TestModelValidation:
             (lambda p: p.update(d=p["d"] - 8), "stores 1024 bits, expected 1016"),
             (lambda p: p.update(d=4), "d must be >= 8"),
             (lambda p: p.update(n_gram=0), "n_gram must be >= 1"),
+            (lambda p: p.update(d=float("inf")), "d must be an integer, got inf"),
+            (lambda p: p.update(d=float("nan")), "d must be an integer, got nan"),
+            (lambda p: p.update(seed=-float("inf")), "seed must be an integer, got -inf"),
+            (lambda p: p.update(seed=-5), "seed must be >= 0, got -5"),
+            (lambda p: p.update(d=p["d"] + 0.9), "d must be an integer, got 1024.9"),
+            (lambda p: p.update(n_gram=3.9), "n_gram must be an integer, got 3.9"),
+            (lambda p: p.update(seed=1.5), "seed must be an integer, got 1.5"),
+            (lambda p: p.update(n_gram=True), "n_gram must be an integer, got True"),
         ],
-        ids=["empty", "duplicate", "short", "long", "small_d", "zero_n_gram"],
+        ids=["empty", "duplicate", "short", "long", "small_d", "zero_n_gram",
+             "infinite_d", "nan_d", "infinite_seed", "negative_seed",
+             "fractional_d", "fractional_n_gram", "fractional_seed", "bool_n_gram"],
     )
     def test_unservable_model_rejected(self, saved, edit, message):
         payload = json.loads(saved.read_text())
@@ -666,3 +680,169 @@ class TestEncodeOnce:
             model = train(train_set, d=d, n_gram=3, seed=1234)
             accuracy = accuracy_eval(model, test_set)
             assert row.split(",")[-1] == format(accuracy, ".9g")
+
+
+def _blocks_with_ones(rng, d, block, lo, hi):
+    """A query of ``d`` bits whose every block of ``block`` bits holds
+    between ``lo`` and ``hi`` ones (the last block is cut at ``d``)."""
+    n_blocks = -(-d // block)
+    ones = rng.integers(lo, hi + 1, size=n_blocks)
+    rows = np.array([rng.permutation(block) < k for k in ones], dtype=np.uint8)
+    return rows.ravel()[:d]
+
+
+class TestQueryState:
+    """The class matrix is built once per model and the count tables once
+    per plan; neither changes a result."""
+
+    # fractions of ones per query block, so that successive queries meet
+    # count ranges that grow, shift and leave gaps
+    WINDOWS = [(0.5, 0.5), (0.3, 0.4), (0.8, 0.9), (0.0, 0.1), (1.0, 1.0), (0.2, 0.7)]
+
+    @pytest.mark.parametrize("block", [7, 50, 128])
+    def test_reused_plan_equals_block_loop(self, block, monkeypatch):
+        d = 1000  # 7 and 128 do not divide it, so the last block pads
+        rng = np.random.default_rng([17, block])
+        labels = ("zero", "one")
+        m = HdcModel(
+            labels=labels,
+            class_vectors={
+                "zero": np.zeros(d, dtype=np.uint8),
+                "one": np.ones(d, dtype=np.uint8),
+            },
+            d=d,
+            n_gram=3,
+            seed=0,
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return ml_voltage_closed_form(*args)
+
+        monkeypatch.setattr(hdc, "ml_voltage_closed_form", counted)
+        plan = BlockPlan(block_size=block)
+        for lo, hi in self.WINDOWS:
+            q = _blocks_with_ones(rng, d, block, round(lo * block), round(hi * block))
+            assert repr(infer_tcam(m, q, plan)) == repr(_infer_tcam_ref(m, q, plan))
+        assert len(set(calls)) == len(calls)  # each count at most once
+        assert len(calls) <= block + 1
+
+    @pytest.mark.parametrize("d", [8, 9, 1001, 1300])
+    def test_exact_equals_per_row_hamming(self, d):
+        rng = np.random.default_rng([18, d])
+        labels = tuple(f"c{i}" for i in range(5))
+        vectors = {lb: rng.integers(0, 2, d, dtype=np.uint8) for lb in labels}
+        vectors["c3"] = vectors["c1"].copy()  # a tie: the lower index wins
+        m = HdcModel(labels=labels, class_vectors=vectors, d=d, n_gram=3, seed=0)
+        queries = [rng.integers(0, 2, d, dtype=np.uint8) for _ in range(4)]
+        queries += [vectors["c1"], 1 - vectors["c4"], np.zeros(d, dtype=np.uint8)]
+        for q in queries:
+            distances = {lb: hamming(vectors[lb], q) for lb in labels}
+            best = min(labels, key=lambda lb: (distances[lb], labels.index(lb)))
+            assert repr(infer_exact(m, q)) == repr((best, distances))
+
+    def test_wrong_shape_rejected_on_every_call(self, model):
+        vectors = dict(model.class_vectors)
+        vectors[model.labels[2]] = vectors[model.labels[2]][:-1]
+        m = HdcModel(
+            labels=model.labels, class_vectors=vectors, d=D, n_gram=3, seed=SEED
+        )
+        q = model.class_vectors[model.labels[0]]
+        plan = BlockPlan(block_size=64)
+        for _ in range(2):
+            with pytest.raises(UsageError, match="has shape"):
+                infer_exact(m, q)
+            with pytest.raises(UsageError, match="has shape"):
+                infer_tcam(m, q, plan)
+
+    def test_class_matrix_is_built_once(self, model):
+        m = HdcModel(
+            labels=model.labels, class_vectors=dict(model.class_vectors),
+            d=D, n_gram=3, seed=SEED,
+        )
+        q = model.class_vectors[model.labels[0]]
+        infer_tcam(m, q, BlockPlan(block_size=64))
+        infer_exact(m, q)
+        rows, packed = m.class_matrix, m.packed_classes
+        infer_tcam(m, q, BlockPlan(block_size=10))
+        infer_exact(m, q)
+        assert m.class_matrix is rows and m.packed_classes is packed
+        assert not rows.flags.writeable and not packed.flags.writeable
+
+    def test_class_vectors_cannot_change_under_the_matrix(self, model):
+        vectors = {lb: model.class_vectors[lb].copy() for lb in model.labels}
+        m = HdcModel(
+            labels=model.labels, class_vectors=vectors, d=D, n_gram=3, seed=SEED
+        )
+        q = model.class_vectors[model.labels[0]]
+        before = repr(infer_exact(m, q))
+        vectors[model.labels[0]] ^= 1  # the caller's arrays stay theirs
+        vectors[model.labels[1]] = q
+        with pytest.raises(TypeError):
+            m.class_vectors[model.labels[1]] = q
+        with pytest.raises(ValueError, match="read-only"):
+            m.class_vectors[model.labels[0]][0] ^= 1
+        assert repr(infer_exact(m, q)) == before
+
+
+#: Any JSON value, non-finite floats included (``json`` writes them as
+#: Infinity, -Infinity and NaN, and reads them back).
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([float("inf"), -float("inf"), float("nan")])
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+#: Text with lone surrogates and non-ASCII code points among the letters.
+_TEXT_CHARS = st.one_of(
+    st.sampled_from(hdc.ALPHABET + "ABCXYZ"),
+    st.characters(exclude_categories=()),
+    st.characters(categories=["Cs"]),
+)
+
+
+@st.composite
+def _text_and_n_gram(draw):
+    n_gram = draw(st.integers(1, 6))
+    return draw(st.text(_TEXT_CHARS, min_size=n_gram, max_size=40)), n_gram
+
+
+class TestHdcProperties:
+    @pytest.fixture(scope="class")
+    def payload(self):
+        corpus = synthetic_corpus(3, 2, 60, seed=19)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(train(corpus, d=16, n_gram=3, seed=SEED), path)
+            return json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "name", ["format", "version", "d", "n_gram", "seed", "labels", "class_vectors"]
+    )
+    @given(value=_JSON)
+    def test_mutated_model_raises_only_usage_error(self, payload, name, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_text(json.dumps({**payload, name: value}))
+            try:
+                m = load_model(path)
+            except UsageError:
+                return
+        # a model that loads can be served
+        q = m.class_vectors[m.labels[0]]
+        assert infer_exact(m, q)[0] == infer_tcam(m, q, BlockPlan(block_size=8))[0]
+        assert m.item_memory().d == m.d
+
+    @given(text_n_gram=_text_and_n_gram(), d=st.sampled_from([8, 9, 1001]))
+    def test_encoding_equals_rolled_rows(self, text_n_gram, d):
+        text, n_gram = text_n_gram
+        item = ItemMemory(d, SEED)
+        assert np.array_equal(
+            encode_text(text, item, n_gram), _encode_text_ref(text, item, n_gram)
+        )
