@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryocam import cli, hdc
@@ -572,10 +572,13 @@ class TestModelValidation:
             (lambda p: p.update(n_gram=3.9), "n_gram must be an integer, got 3.9"),
             (lambda p: p.update(seed=1.5), "seed must be an integer, got 1.5"),
             (lambda p: p.update(n_gram=True), "n_gram must be an integer, got True"),
+            (lambda p: p.update(version=True), "unsupported model version True"),
+            (lambda p: p.update(version=1.0), r"unsupported model version 1\.0"),
         ],
         ids=["empty", "duplicate", "short", "long", "small_d", "zero_n_gram",
              "infinite_d", "nan_d", "infinite_seed", "negative_seed",
-             "fractional_d", "fractional_n_gram", "fractional_seed", "bool_n_gram"],
+             "fractional_d", "fractional_n_gram", "fractional_seed", "bool_n_gram",
+             "bool_version", "float_version"],
     )
     def test_unservable_model_rejected(self, saved, edit, message):
         payload = json.loads(saved.read_text())
@@ -770,6 +773,39 @@ class TestQueryState:
         assert m.class_matrix is rows and m.packed_classes is packed
         assert not rows.flags.writeable and not packed.flags.writeable
 
+    def test_packed_blocks_are_built_once_per_block_size(self, model):
+        m = HdcModel(
+            labels=model.labels, class_vectors=dict(model.class_vectors),
+            d=D, n_gram=3, seed=SEED,
+        )
+        q = model.class_vectors[model.labels[0]]
+        tables = {}
+        for block in (10, 100, 10, 100):
+            infer_tcam(m, q, BlockPlan(block_size=block))
+            table = tables.setdefault(block, m.packed_blocks(block))
+            assert m.packed_blocks(block) is table
+            assert not table.flags.writeable
+
+    @pytest.mark.parametrize(
+        ("block", "word", "words"),
+        [(1, np.uint8, 1), (8, np.uint8, 1), (9, np.uint16, 1), (16, np.uint16, 1),
+         (17, np.uint64, 1), (32, np.uint64, 1), (33, np.uint64, 1),
+         (64, np.uint64, 1), (65, np.uint64, 2), (128, np.uint64, 2),
+         (D, np.uint64, 16)],
+    )
+    def test_each_block_takes_the_narrowest_words(self, model, block, word, words):
+        table = model.packed_blocks(block)
+        assert table.dtype == word
+        assert table.shape == (len(model.labels), -(-D // block), words)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+    @pytest.mark.parametrize("block", [10, 100])
+    def test_query_bits_may_come_in_any_dtype(self, model, dtype, block):
+        q = np.random.default_rng(3).integers(0, 2, D, dtype=np.uint8)
+        plan = BlockPlan(block_size=block)
+        want = repr(_infer_tcam_ref(model, q, plan))
+        assert repr(infer_tcam(model, q.astype(dtype), plan)) == want
+
     def test_class_vectors_cannot_change_under_the_matrix(self, model):
         vectors = {lb: model.class_vectors[lb].copy() for lb in model.labels}
         m = HdcModel(
@@ -813,6 +849,33 @@ def _text_and_n_gram(draw):
     return draw(st.text(_TEXT_CHARS, min_size=n_gram, max_size=40)), n_gram
 
 
+#: Block sizes at the edges of the packed words: 8, 16, 32 and 64 bits,
+#: and two uint64 words.
+_WORD_EDGES = (7, 8, 9, 16, 63, 64, 65, 128)
+
+
+@st.composite
+def _model_query_block(draw):
+    """A model of 1-4 random classes at D in [8, 300], a query that is
+    random, equal to a class or its complement, and a block size from
+    1..D, half of the time a word edge or D itself."""
+    d = draw(st.integers(8, 300) | st.integers(129, 300))  # half reach 128
+    edges = [b for b in _WORD_EDGES if b <= d] + [d]
+    block = draw(st.one_of(st.sampled_from(edges), st.integers(1, d)))
+    labels = tuple(f"c{i}" for i in range(draw(st.integers(1, 4))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, 2, (len(labels), d), dtype=np.uint8)
+    query = draw(
+        st.sampled_from(
+            [rng.integers(0, 2, d, dtype=np.uint8), rows[0].copy(), 1 - rows[-1]]
+        )
+    )
+    m = HdcModel(
+        labels=labels, class_vectors=dict(zip(labels, rows)), d=d, n_gram=3, seed=0
+    )
+    return m, query, block
+
+
 class TestHdcProperties:
     @pytest.fixture(scope="class")
     def payload(self):
@@ -846,3 +909,13 @@ class TestHdcProperties:
         assert np.array_equal(
             encode_text(text, item, n_gram), _encode_text_ref(text, item, n_gram)
         )
+
+    @settings(max_examples=200)
+    @given(case=_model_query_block())
+    def test_packed_kernels_equal_references(self, case):
+        m, q, block = case
+        plan = BlockPlan(block_size=block)
+        assert repr(infer_tcam(m, q, plan)) == repr(_infer_tcam_ref(m, q, plan))
+        distances = {lb: hamming(m.class_vectors[lb], q) for lb in m.labels}
+        best = min(m.labels, key=lambda lb: (distances[lb], m.labels.index(lb)))
+        assert repr(infer_exact(m, q)) == repr((best, distances))
