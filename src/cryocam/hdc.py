@@ -55,9 +55,7 @@ class ItemMemory:
         self.d = int(d)
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
-        self._table = np.stack(
-            [rng.integers(0, 2, size=self.d, dtype=np.uint8) for _ in _SYMBOLS]
-        )
+        self._table = _random_bits(rng, len(_SYMBOLS), self.d)
         self.vectors = dict(zip(_SYMBOLS, self._table))
         self.tie_break = rng.integers(0, 2, size=self.d, dtype=np.uint8)
         self._packed_rolls = {}
@@ -75,6 +73,21 @@ class ItemMemory:
             table.flags.writeable = False
             table = self._packed_rolls.setdefault(k, table)
         return table
+
+
+def _random_bits(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """(n, d) uint8 random bits for an even n: the rows n calls of
+    ``rng.integers(0, 2, size=d, dtype=np.uint8)`` give, drawn at once,
+    leaving ``rng`` in the state those calls leave.
+
+    Each such call reads ceil(d / 4) 32-bit words, the low then the high
+    half of each 64-bit output, and takes each word's bytes low byte
+    first; Lemire's bounded draw over a range of 2 keeps a byte's top
+    bit and never rejects.  So every row is the top bits of the next
+    4 ceil(d / 4) bytes of the raw little-endian stream."""
+    width = 4 * -(-d // 4)
+    raw = rng.bit_generator.random_raw(n * width // 8)
+    return raw.astype("<u8", copy=False).view(np.uint8).reshape(n, width)[:, :d] >> 7
 
 
 def majority_bundle(vectors: np.ndarray, tie_break: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ import copy
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +38,14 @@ from .ferroelectric import (
 )
 
 TRITS = ("0", "1", "d")
-#: The trit that leaves fs1's branch open (0) and fs2's (1), by branch.
-_OPENING_TRITS = np.frombuffer(b"01", dtype=np.uint8)
+
+
+#: Search weights by (part, key byte, branch): part 0 flags the branch a
+#: trit leaves open (fs1 under a 0, fs2 under a 1), part 1 weighs fs1's
+#: stored bit, +1 under a 1 and -1 under a 0; a d trit weighs nothing.
+_KEY_WEIGHTS = np.zeros((2, 256, 2))
+_KEY_WEIGHTS[0, ord("0"), 0] = _KEY_WEIGHTS[0, ord("1"), 1] = 1.0
+_KEY_WEIGHTS[1, ord("0"), 0], _KEY_WEIGHTS[1, ord("1"), 0] = -1.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,10 @@ class MatchLineResult(NamedTuple):
     energy: float  # J, power times t_search
 
 
+#: MatchLineResult from a 4-tuple, without the generated __new__'s call
+_new_result = partial(tuple.__new__, MatchLineResult)
+
+
 class TcamArray:
     """rows x cols grid of TCAM cells sharing one ML per row.
 
@@ -104,8 +115,9 @@ class TcamArray:
     short (6 states at the defaults) and complete once the array is
     built, so writes and searches only read it.  The write voltage, the
     superconductor, ``t_op`` and with them each state's critical current
-    (``_i_c``) and the I_C window (``exact_window``) are fixed then.
-    Fresh devices (id 0) sit at negative saturation settled at 0 V.
+    (``_i_c``), the I_C window (``exact_window``) and the sign table
+    (``_negative``) are fixed then.  Fresh devices (id 0) sit at
+    negative saturation settled at 0 V.
 
     Searches read the row record ``bias``, which holds every branch
     resistance, the bias currents, the search time and the gate threshold
@@ -113,10 +125,10 @@ class TcamArray:
     every operating rule over the state table's critical currents and the
     built write voltage; a rejected record raises one ConfigError listing
     every violation and leaves the array unchanged, so writes and
-    searches check nothing.  Searches are pure,
-    so they may run concurrently; a write or a bind needs exclusive
-    access to the whole array (the V/2 scheme touches an entire row and
-    column).
+    searches check nothing, and a search reads only each device's
+    remnant sign.  Searches are pure, so they may run concurrently; a
+    write or a bind needs exclusive access to the whole array (the V/2
+    scheme touches an entire row and column).
     """
 
     def __init__(
@@ -140,6 +152,9 @@ class TcamArray:
         self._states, self._remnants, self._pulse = _state_table(
             self.fe_model, bias.v_write
         )
+        # 1.0 per state at negative remnant: under a bound record, all a
+        # search reads of a device
+        self._negative = (self._remnants < 0.0).astype(np.float64)
         self._i_c = np.array(
             [critical_current_at(p, self.sc, t_op) for p in self._remnants]
         )
@@ -167,8 +182,8 @@ class TcamArray:
 
     def blank(self, rows: int, cols: int) -> TcamArray:
         """A fresh rows x cols array built like this one: it shares the
-        devices' parameters, the (read-only) state table and the row
-        record, so no Preisach walk runs and no rule is checked again."""
+        devices' parameters, the (read-only) state and sign tables and the
+        row record, so no Preisach walk runs and no rule is checked again."""
         _check_shape(rows, cols)
         array = copy.copy(self)
         array.rows, array.cols = rows, cols
@@ -426,7 +441,7 @@ class SearchResults:
     def rows(self, k: int) -> list[MatchLineResult]:
         """The row results of key ``k``."""
         columns = (self.v_ml[k], self.n_match[k], self.power[k], self.energy[k])
-        return list(map(MatchLineResult, *(column.tolist() for column in columns)))
+        return list(map(_new_result, zip(*(column.tolist() for column in columns))))
 
 
 def _row_conductance(n_bits, n_gated, n_low, r_low, r_high, r_gate):
@@ -446,19 +461,27 @@ def search_keys(array: TcamArray, keys, hd: bool) -> SearchResults:
     and the gate rule, checked at binding, makes every driven hTron
     switch, so a driven branch is an r_gate resistor.  A 0/1 trit leaves
     one branch open, fs1's for a 0 and fs2's for a 1; a d trit leaves
-    none.  So a row is fixed by counts over its open branches, each read
-    through the state table: in HD mode how many have a remnant >= 0
-    (r_match; the rest conduct at r_mismatch), in exact mode whether any
-    has I_C >= I_RWL (it shorts the ML; else all conduct at r_fs_exact).
-    Counts are over open branches, not stored bits: a fresh cell reads
-    stored 1 with both devices at negative remnant.  ``n_match`` alone
-    counts stored bits: the non-d trits equal to the bit fs1 holds.
+    none.  So a row is fixed by how many of its open branches hold a
+    device at negative remnant.  Binding puts I_RWL,exact strictly
+    between the I_C of every remnant >= 0 state and of every remnant < 0
+    state and I_RWL,hd above all of them, so that sign is the whole
+    per-device input: in exact mode one such branch has I_C >= I_RWL and
+    shorts the ML (else all open branches conduct at r_fs_exact); in HD
+    mode such a branch conducts at r_mismatch and every other open
+    branch, a low-I_C one, at r_match.  Counts are over open branches, not stored bits: a
+    fresh cell reads stored 1 with both devices at negative remnant.
+    ``n_match`` alone counts stored bits: the non-d trits equal to the
+    bit fs1 holds.
 
-    One product of the keys' (K, 2C) open-branch matrix with the rows'
-    per-branch state flags gives every count; ``_row_conductance`` and
-    ``search_energy`` turn them into the (K, rows) record.
+    The rows' signs come from one gather of the array's sign table, an
+    (R, 2C) 0/1 matrix, and the keys' weights from one lookup of their
+    bytes, a (2K, 2C) matrix: K rows of open-branch flags, then K rows
+    that weigh fs1 by +1 under a 1 and -1 under a 0.  One product of the
+    two gives every count; ``_row_conductance`` and ``search_energy``
+    turn them into the (K, rows) record.
     """
     cols = array.cols
+    zeros, n_open = [], []
     for key in keys:
         if len(key) != cols:
             raise UsageError(f"key length {len(key)} != array width {cols}")
@@ -466,40 +489,36 @@ def search_keys(array: TcamArray, keys, hd: bool) -> SearchResults:
             raise UnsupportedModeError(
                 "HD mode does not support don't-care trits; use exact mode"
             )
+        zeros.append(key.trits.count("0"))
+        n_open.append(zeros[-1] + key.trits.count("1"))
     bias = array.bias
     i_rwl = bias.i_rwl_hd if hd else bias.i_rwl_exact
     n_keys, rows = len(keys), array.rows
     trits = np.frombuffer("".join(k.trits for k in keys).encode(), dtype=np.uint8)
-    # (K, C, 2) in the (col, branch) order of ids: 1 where a branch is open
-    opens = (trits.reshape(n_keys, cols, 1) == _OPENING_TRITS).astype(np.float64)
-    remnants = array._remnants
-    # a 0/1 flag per state: HD counts the low-I_C states (remnant >= 0),
-    # exact mode the states whose I_C >= I_RWL shorts the ML
-    flags = (remnants >= 0.0 if hd else ~(i_rwl > array._i_c)).astype(np.float64)
-    stored_one = (remnants < 0.0).astype(np.float64).take(array.ids[:, :, 0])
-    # float64 sums of 0/1 products are exact integers below 2**53
-    n_flagged = opens.reshape(n_keys, -1) @ (
-        flags.take(array.ids).reshape(rows, -1).T
-    )
-    key_zeros, key_ones = opens[:, :, 0], opens[:, :, 1]
-    n_match = key_zeros.sum(axis=1, keepdims=True) + (key_ones - key_zeros) @ (
-        stored_one.T
-    )
+    weights = _KEY_WEIGHTS.take(trits, axis=1).reshape(2 * n_keys, -1)
+    signs = array._negative.take(array.ids).reshape(rows, -1)
+    # float64 sums of 0/+-1 products are exact integers below 2**53
+    counts = weights @ signs.T
+    n_negative = counts[:n_keys]
+    n_match = counts[n_keys:] + np.array(zeros)[:, None]
 
     total_i = cols * i_rwl
     if hd:
         g = _row_conductance(
-            cols, cols, n_flagged, bias.r_match, bias.r_mismatch, bias.r_gate
+            cols, cols, cols - n_negative, bias.r_match, bias.r_mismatch,
+            bias.r_gate,
         )
         v_ml = total_i / g
     else:
         # every open branch conducts at r_fs_exact unless the row shorts
-        n_open = opens.sum(axis=(1, 2))[:, None]
-        g = _row_conductance(
-            cols, 2 * cols - n_open, n_open, bias.r_fs_exact, bias.r_fs_exact,
-            bias.r_gate,
-        )
-        v_ml = np.where(n_flagged > 0.0, 0.0, total_i / g)
+        v_open = [
+            total_i / _row_conductance(
+                cols, 2 * cols - n, n, bias.r_fs_exact, bias.r_fs_exact,
+                bias.r_gate,
+            )
+            for n in n_open
+        ]
+        v_ml = np.where(n_negative > 0.0, 0.0, np.array(v_open)[:, None])
     return SearchResults(
         v_ml,
         n_match.astype(np.int64),

@@ -216,6 +216,9 @@ class TestConfigRoutes:
         assert any(message.startswith(key) for message in payload["messages"])
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def run_cli(args, tmp_path, name="out"):
     out = tmp_path / name
     code = main(["--out", str(out), *args])
@@ -282,6 +285,21 @@ class TestCliTcam:
         )
         assert (out1 / "tcam_search.csv").read_bytes() == (
             out2 / "tcam_search.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["exact", "hd"])
+    def test_search_csv_matches_golden_bytes(self, mode, tmp_path):
+        # tests/data: seven 16-bit words, one of them all ones (which reads
+        # like an unwritten row); the exact keys hold d trits
+        code, out = run_cli(
+            ["tcam", "search", "--mode", mode,
+             "--store", str(DATA / "tcam_store.txt"),
+             "--keys", str(DATA / f"tcam_keys_{mode}.txt")],
+            tmp_path,
+        )
+        assert code == 0
+        assert (out / "tcam_search.csv").read_bytes() == (
+            DATA / f"tcam_search_{mode}.csv"
         ).read_bytes()
 
     def test_calibrate_writes_pair(self, tmp_path):

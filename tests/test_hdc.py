@@ -80,6 +80,22 @@ class TestItemMemory:
         item = ItemMemory(D, SEED)
         assert np.array_equal(item.vector("@"), item.vector("é"))
 
+    @pytest.mark.parametrize("seed", [0, SEED, 2**40 + 3])
+    @pytest.mark.parametrize("d", [8, 9, 10, 11, 12, 13, 79, 1001, 1002, 1003,
+                                   9999, 10000, 10001])
+    def test_table_is_the_per_symbol_draws(self, d, seed):
+        # the one raw draw gives the bits, and leaves the generator in the
+        # state, of one rng.integers call per symbol
+        symbols = hdc.ALPHABET + hdc.OTHER_SYMBOL
+        rng = np.random.default_rng(seed)
+        rows = [rng.integers(0, 2, size=d, dtype=np.uint8) for _ in symbols]
+        tie_break = rng.integers(0, 2, size=d, dtype=np.uint8)
+        item = ItemMemory(d, seed)
+        assert "".join(item.vectors) == symbols
+        for got, want in zip(item.vectors.values(), rows, strict=True):
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert np.array_equal(item.tie_break, tie_break)
+
 
 class TestEncoding:
     def test_single_ngram_equals_bound_vector(self):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -817,6 +818,24 @@ class TestSearchProperties:
         for lo, hi in zip(counts, counts[1:]):
             assert max(by_count[lo]) < min(by_count[hi])
 
+    @given(searched_arrays())
+    def test_sign_is_the_critical_current_rule(self, case):
+        # under every record the binding accepts, exact mode's "I_C >=
+        # I_RWL shorts the ML" is "remnant < 0" for every reachable state,
+        # and HD mode's low-I_C (remnant >= 0) states are the rest
+        array = case[0]
+        negative = array._remnants < 0.0
+        lo, hi = array.exact_window
+        for i_rwl in (math.nextafter(lo, math.inf), array.bias.i_rwl_exact,
+                      math.nextafter(hi, -math.inf)):
+            array.bias = dataclasses.replace(array.bias, i_rwl_exact=i_rwl)
+            shorts = array._i_c >= array.bias.i_rwl_exact
+            assert np.array_equal(negative, shorts)
+            assert np.array_equal(array._negative, shorts.astype(np.float64))
+        low_ic = array._remnants >= 0.0
+        assert np.array_equal(low_ic, ~shorts)
+        assert (array._i_c < array.bias.i_rwl_hd).all()
+
     @given(
         block=st.integers(1, 1000),
         i_rwl=st.floats(1e-7, 1e-4),
@@ -923,3 +942,22 @@ class TestBatchedSearch:
         search = search_hd if hd else search_exact
         for k, key in enumerate(keys):
             assert repr(batch.rows(k)) == repr(search(array, key))
+
+    def test_rows_are_match_line_results(self):
+        array = TcamArray(3, 4)
+        store_word(array, 0, "0110")
+        batch = tcam.search_keys(array, [SearchKey("0110"), SearchKey("d11d")],
+                                 hd=False)
+        for k in range(2):
+            rows = batch.rows(k)
+            assert len(rows) == 3
+            for r, result in enumerate(rows):
+                assert type(result) is tcam.MatchLineResult
+                assert list(map(type, result)) == [float, int, float, float]
+                assert result._fields == ("v_ml", "n_match", "power", "energy")
+                assert result._asdict() == {
+                    "v_ml": batch.v_ml[k, r], "n_match": batch.n_match[k, r],
+                    "power": batch.power[k, r], "energy": batch.energy[k, r],
+                }
+                assert result.v_ml == result[0] and result.energy == result[3]
+        assert batch.rows(0)[0].v_ml > 0.0 and batch.rows(0)[1].v_ml == 0.0
