@@ -453,7 +453,7 @@ def main(argv=None) -> int:
         return _fail("numeric", [str(exc)], 4)
     except CryocamError as exc:
         return _fail("error", [str(exc)], 3)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         return _fail("validation", [str(exc)], 3)
     for path in outputs:
         print(f"wrote {path}")

@@ -365,18 +365,13 @@ class BlockPlan:
         """Per-count tables of an HD-mode row of ``block_size`` bits,
         indexed by matched-bit count 0..block_size: the Hamming distance
         decoded from the ML voltage (int64) and the search energy in J
-        (float64).  Read-only, and made on first use, with the closed
-        form, its inverse and the search energy evaluated once per count.
+        (float64).  Read-only, and made on first use by one evaluation of
+        the closed form, its inverse and the search energy over all counts.
         """
         block, bias, i_rwl = self.block_size, self.bias, self.bias.i_rwl_hd
-        distance = np.zeros(block + 1, dtype=np.int64)
-        energy = np.zeros(block + 1)
-        for m in range(block + 1):
-            v_ml = ml_voltage_closed_form(block, m, i_rwl, bias)
-            distance[m] = block - invert_ml_voltage_closed_form(
-                v_ml, block, i_rwl, bias
-            )
-            energy[m] = search_energy(v_ml, block, i_rwl, bias.t_search)
+        v_ml = ml_voltage_closed_form(block, np.arange(block + 1), i_rwl, bias)
+        distance = block - invert_ml_voltage_closed_form(v_ml, block, i_rwl, bias)
+        energy = search_energy(v_ml, block, i_rwl, bias.t_search)
         distance.flags.writeable = False
         energy.flags.writeable = False
         return distance, energy
@@ -392,7 +387,8 @@ def infer_tcam(
     decoded counts accumulate into per-class Hamming distances.  Returns
     (label, per-class HD, per-class energy in J).  ``query`` holds D
     bits, each 0 or 1, in any bool, integer or float dtype; it is packed
-    as uint8, so any other value is outside the contract.
+    as uint8, so any other value is outside the contract.  A plan whose
+    block is wider than D raises ``UsageError`` before any work.
 
     The per-block mismatch counts of all classes come from the model's
     class rows packed one block per word (``HdcModel.packed_blocks``,
@@ -407,6 +403,8 @@ def infer_tcam(
     if query.shape != (model.d,):
         raise UsageError(f"query has shape {query.shape}, expected ({model.d},)")
     block = plan.block_size
+    if block > model.d:
+        raise UsageError(f"block size {block} exceeds the model's D={model.d}")
     query = np.asarray(query, dtype=np.uint8)
     diff = model.packed_blocks(block) ^ _pack_blocks(query, block)
     if diff.dtype == np.uint16:  # numpy counts bytes several times faster

@@ -541,15 +541,16 @@ def search_hd(array: TcamArray, key: SearchKey) -> list[MatchLineResult]:
 
 def ml_voltage_closed_form(
     n_bits: int,
-    n_match: int,
+    n_match: int | np.ndarray,
     i_rwl_per_bit: float,
     bias: BiasConfig = BiasConfig(),
-) -> float:
+) -> float | np.ndarray:
     """Closed-form HD-mode match-line voltage for an n-bit row with the
-    branch resistances of ``bias``."""
+    branch resistances of ``bias``.  ``n_match`` is one count, giving a
+    float, or an integer array of counts, giving an array of voltages."""
     if n_bits < 1:
         raise DomainError(f"n_bits must be >= 1, got {n_bits}")
-    if not 0 <= n_match <= n_bits:
+    if not np.all((0 <= n_match) & (n_match <= n_bits)):  # NaN fails too
         raise DomainError(f"n_match must be in [0, {n_bits}], got {n_match}")
     g = _row_conductance(
         n_bits, n_bits, n_match, bias.r_match, bias.r_mismatch, bias.r_gate
@@ -558,17 +559,18 @@ def ml_voltage_closed_form(
 
 
 def invert_ml_voltage_closed_form(
-    v_ml: float,
+    v_ml: float | np.ndarray,
     n_bits: int,
     i_rwl_per_bit: float,
     bias: BiasConfig = BiasConfig(),
-) -> int:
-    """Recover the matched-bit count from an HD-mode ML voltage.
+) -> int | np.ndarray:
+    """Recover the matched-bit count from an HD-mode ML voltage: an int
+    from one voltage, an int64 array from an array of them.
 
     v_ml is strictly monotone in n_match, so the decode rounds the exact
-    algebraic inverse to the nearest feasible integer.
+    algebraic inverse to the nearest feasible integer, half to even.
     """
-    if v_ml <= 0.0:
+    if not np.all(v_ml > 0.0):  # NaN fails too
         raise DomainError(f"v_ml must be > 0, got {v_ml}")
     if bias.r_match == bias.r_mismatch:
         raise DomainError(
@@ -580,7 +582,8 @@ def invert_ml_voltage_closed_form(
         n_bits, n_bits, 0, bias.r_match, bias.r_mismatch, bias.r_gate
     )
     m = (g - g_none) / (1.0 / bias.r_match - 1.0 / bias.r_mismatch)
-    return min(n_bits, max(0, round(m)))
+    counts = np.clip(np.rint(m), 0, n_bits).astype(np.int64)
+    return counts if np.ndim(counts) else int(counts)
 
 
 def search_energy(
@@ -588,10 +591,11 @@ def search_energy(
     n_bits: int,
     i_rwl_per_bit: float,
     t_search: float = BiasConfig.t_search,
-) -> float:
+) -> float | np.ndarray:
     """Energy (J) of one row search: n_bits * I_RWL * V_ML * t_search.
 
-    ``result`` may be a MatchLineResult or a bare ML voltage.
+    ``result`` may be a MatchLineResult, a bare ML voltage or an array of
+    voltages, giving an array of energies.
     """
     v_ml = getattr(result, "v_ml", result)
     return n_bits * i_rwl_per_bit * v_ml * t_search

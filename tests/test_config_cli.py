@@ -602,6 +602,43 @@ class TestCliErrors:
         assert "r_low_state_ohm must exceed r_high_state_ohm" in message
         assert not out.exists()
 
+    def test_block_wider_than_the_model_exits_3(
+        self, model_and_text, tmp_path, capsys
+    ):
+        model, text = model_and_text  # D = 512
+        code, out = run_cli(
+            ["--set", "hdc_block_size=513", "hdc", "infer", "--model",
+             str(model), "--text", str(text)],
+            tmp_path,
+        )
+        assert code == 3
+        assert error_payload(capsys)["messages"] == [
+            "block size 513 exceeds the model's D=512"
+        ]
+        assert not out.exists()
+
+    # a directory where a file belongs once ended in IsADirectoryError
+    @pytest.mark.parametrize("path_flag", ["--config", "--model", "--model-out"])
+    def test_path_the_os_refuses_exits_3(
+        self, path_flag, model_and_text, tmp_path, capsys
+    ):
+        _, text = model_and_text
+        directory = str(tmp_path)
+        argv = {
+            "--config": ["--config", directory, "tcam", "calibrate"],
+            "--model": ["hdc", "infer", "--model", directory, "--text", str(text)],
+            "--model-out": [
+                "--set", "hdc_d_bits=512", "hdc", "train", "--classes", "2",
+                "--texts-per-class", "2", "--text-len", "200", "--model-out",
+                directory,
+            ],
+        }[path_flag]
+        code, _ = run_cli(argv, tmp_path)
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        assert any("Is a directory" in m for m in payload["messages"])
+
     def test_missing_store_file_exits_3(self, tmp_path):
         code = main(
             ["--out", str(tmp_path / "o"), "tcam", "search", "--mode", "exact",

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cryocam import cli, hdc
@@ -31,6 +31,7 @@ from cryocam.hdc import (
     train,
 )
 from cryocam.tcam import (
+    BiasConfig,
     SearchKey,
     TcamArray,
     invert_ml_voltage_closed_form,
@@ -494,18 +495,20 @@ class TestAgainstScalarReference:
             n_gram=3,
             seed=0,
         )
-        calls = []
+        evaluated = []  # every count, whether passed alone or in an array
 
         def counted(*args):
-            calls.append(args)
+            evaluated.extend(np.ravel(args[1]).tolist())
             return ml_voltage_closed_form(*args)
 
         monkeypatch.setattr(hdc, "ml_voltage_closed_form", counted)
-        q = rng.integers(0, 2, d, dtype=np.uint8)
-        _, distances, _ = infer_tcam(m, q, BlockPlan(block_size=block))
-        assert len(calls) <= block + 1
-        assert len(set(calls)) == len(calls)
-        assert distances == infer_exact(m, q)[1]
+        plan = BlockPlan(block_size=block)
+        for _ in range(2):  # a second query on the plan evaluates nothing new
+            q = rng.integers(0, 2, d, dtype=np.uint8)
+            _, distances, _ = infer_tcam(m, q, plan)
+            assert distances == infer_exact(m, q)[1]
+        assert 0 < len(evaluated) <= block + 1
+        assert len(set(evaluated)) == len(evaluated)
 
     @pytest.mark.parametrize(
         ("text", "d", "n_gram"),
@@ -733,10 +736,10 @@ class TestQueryState:
             n_gram=3,
             seed=0,
         )
-        calls = []
+        evaluated = []  # every count, whether passed alone or in an array
 
         def counted(*args):
-            calls.append(args[1])
+            evaluated.extend(np.ravel(args[1]).tolist())
             return ml_voltage_closed_form(*args)
 
         monkeypatch.setattr(hdc, "ml_voltage_closed_form", counted)
@@ -744,8 +747,8 @@ class TestQueryState:
         for lo, hi in self.WINDOWS:
             q = _blocks_with_ones(rng, d, block, round(lo * block), round(hi * block))
             assert repr(infer_tcam(m, q, plan)) == repr(_infer_tcam_ref(m, q, plan))
-        assert len(set(calls)) == len(calls)  # each count at most once
-        assert len(calls) <= block + 1
+        assert len(set(evaluated)) == len(evaluated)  # each count at most once
+        assert 0 < len(evaluated) <= block + 1
 
     @pytest.mark.parametrize("d", [8, 9, 1001, 1300])
     def test_exact_equals_per_row_hamming(self, d):
@@ -935,3 +938,70 @@ class TestHdcProperties:
         distances = {lb: hamming(m.class_vectors[lb], q) for lb in m.labels}
         best = min(m.labels, key=lambda lb: (distances[lb], m.labels.index(lb)))
         assert repr(infer_exact(m, q)) == repr((best, distances))
+
+
+def _block_tables_ref(block, bias):
+    """Scalar reference: the closed form, its inverse and the search
+    energy once per matched count."""
+    i_rwl = bias.i_rwl_hd
+    distance = np.zeros(block + 1, dtype=np.int64)
+    energy = np.zeros(block + 1)
+    for m in range(block + 1):
+        v_ml = ml_voltage_closed_form(block, m, i_rwl, bias)
+        distance[m] = block - invert_ml_voltage_closed_form(v_ml, block, i_rwl, bias)
+        energy[m] = search_energy(v_ml, block, i_rwl, bias.t_search)
+    return distance, energy
+
+
+class TestArrayRowRelation:
+    """The closed form, its inverse and the search energy take count
+    arrays; a plan's tables are one evaluation of each over 0..block."""
+
+    @pytest.mark.parametrize(
+        "bias",
+        [BiasConfig(), BiasConfig(r_match=2400.0, r_mismatch=1100.0, i_rwl_hd=6.1e-6)],
+        ids=["default", "second-record"],
+    )
+    def test_tables_equal_scalar_loop_bytes(self, bias):
+        for block in [*range(1, 301), 500, 1000, 1024, 4096, 10000]:
+            got = BlockPlan(block_size=block, bias=bias).block_tables
+            for table, want in zip(got, _block_tables_ref(block, bias)):
+                assert table.dtype == want.dtype
+                assert table.tobytes() == want.tobytes(), block
+                assert not table.flags.writeable
+
+    @given(
+        block=st.integers(1, 1024),
+        r_match=st.floats(100.0, 1e5),
+        r_mismatch=st.floats(100.0, 1e5),
+        r_gate=st.floats(1e3, 1e6),
+        i_rwl=st.floats(1e-7, 1e-4),
+        t_search=st.floats(1e-12, 1e-8),
+    )
+    def test_arrays_equal_scalar_calls(
+        self, block, r_match, r_mismatch, r_gate, i_rwl, t_search
+    ):
+        assume(r_match != r_mismatch)
+        bias = BiasConfig(
+            r_match=r_match, r_mismatch=r_mismatch, r_gate=r_gate,
+            i_rwl_hd=i_rwl, t_search=t_search,
+        )
+        v_ml = ml_voltage_closed_form(block, np.arange(block + 1), i_rwl, bias)
+        decoded = invert_ml_voltage_closed_form(v_ml, block, i_rwl, bias)
+        energy = search_energy(v_ml, block, i_rwl, t_search)
+        assert decoded.dtype == np.int64
+        for m in range(block + 1):
+            v = ml_voltage_closed_form(block, m, i_rwl, bias)
+            n = invert_ml_voltage_closed_form(v, block, i_rwl, bias)
+            assert type(v) is float and type(n) is int
+            assert (v, n) == (v_ml[m], decoded[m])
+            assert search_energy(v, block, i_rwl, t_search) == energy[m]
+
+    def test_block_wider_than_the_vector_rejected(self, model):
+        q = model.class_vectors[model.labels[0]]
+        plan = BlockPlan(block_size=D + 1)
+        with pytest.raises(UsageError, match=f"block size {D + 1} exceeds"):
+            infer_tcam(model, q, plan)
+        assert "block_tables" not in vars(plan)  # no table was built
+        whole = BlockPlan(block_size=D)  # one block spanning the vector is fine
+        assert infer_tcam(model, q, whole)[1] == infer_exact(model, q)[1]

@@ -354,6 +354,23 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             ml_voltage_closed_form(n, m, 5e-6)
 
+    # NaN fails every "value in range" check; an array check of "any value
+    # out of range" would let it through
+    @pytest.mark.parametrize(
+        "n_match", [math.nan, np.array([1.0, math.nan])], ids=["scalar", "array"]
+    )
+    def test_nan_count_rejected(self, n_match):
+        with pytest.raises(DomainError, match="n_match must be in"):
+            ml_voltage_closed_form(4, n_match, 5e-6)
+
+    @pytest.mark.parametrize(
+        "v_ml", [math.nan, np.array([5e-3, math.nan])], ids=["scalar", "array"]
+    )
+    def test_inverse_rejects_nan_voltage(self, v_ml):
+        # round(nan) once raised ValueError instead
+        with pytest.raises(DomainError, match="v_ml must be > 0"):
+            invert_ml_voltage_closed_form(v_ml, 4, 5e-6)
+
     def test_inverse_rejects_equal_branch_resistances(self):
         # every count then gives one voltage; the decode once divided by 0
         bias = BiasConfig(r_match=900.0)
