@@ -6,7 +6,8 @@ hdc train | hdc infer | hdc sweep.  Every run writes its artifacts plus
 the output directory; files are written atomically so interrupted runs
 never leave corrupt artifacts.
 
-Exit codes: 0 success, 2 usage, 3 validation failure, 4 numeric failure.
+Exit codes: 0 success, 2 usage, 3 validation failure (an argument too
+large to allocate among them), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -363,7 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fe = sub.add_parser("fe", help="ferroelectric characterization")
     fe_sub = fe.add_subparsers(dest="command", required=True)
     sweep = fe_sub.add_parser("sweep", help="polarization-voltage loop")
-    _number(sweep, "--v-max-V", 2.0, ">", float("-inf"))  # any finite voltage
+    # any voltage whose double, the loop's span, is finite
+    half_max = sys.float_info.max / 2
+    _number(sweep, "--v-max-V", 2.0, "in", [-half_max, half_max])
     _number(sweep, "--points-per-leg", 101, ">=", 1)
     _number(sweep, "--cycles", 2, ">=", 0)
     sweep.set_defaults(func=cmd_fe_sweep, name="fe sweep")
@@ -455,6 +458,8 @@ def main(argv=None) -> int:
         return _fail("error", [str(exc)], 3)
     except OSError as exc:  # a missing file, a directory, no permission
         return _fail("validation", [str(exc)], 3)
+    except MemoryError as exc:  # an argument sizes an array past memory
+        return _fail("validation", [str(exc) or "out of memory"], 3)
     for path in outputs:
         print(f"wrote {path}")
     return 0

@@ -255,7 +255,9 @@ def simulate_rcsj_iv(dev: FeSquidDevice, i_points, params: RcsjParams) -> IvCurv
     trace hysteretic branches at large beta_c.  After ``settle_periods``
     a point steps whole phase cycles until two successive periods agree
     (a running point on its periodic orbit, V = V_scale * 2 pi / T) or it
-    is shown to be locked (see ``_cycle_omega``).
+    is shown to be locked (see ``_cycle_omega``).  A bias so large that
+    the step, the drive-period estimate over ``n_steps``, is not > 0
+    raises NumericError: every step would then look like a fixed point.
     """
     i_points = np.asarray(i_points, dtype=float)
     if i_points.size == 0:
@@ -269,13 +271,19 @@ def simulate_rcsj_iv(dev: FeSquidDevice, i_points, params: RcsjParams) -> IvCurv
 
     v_avg = np.empty(i_points.size)
     phi, u = 0.0, 0.0
-    for k, i_abs in enumerate(i_points):
+    # plain floats: a bias whose square overflows gives inf, not a warning
+    for k, i_abs in enumerate(i_points.tolist()):
         i = i_abs / i_c
         phi = math.fmod(phi, 2.0 * math.pi)  # keep sin() accurate on long sweeps
         # Drive-period estimate: exact for the overdamped running state, a
         # settling timescale when phase-locked (i <= 1).
         omega_est = math.sqrt(max(i * i - 1.0, 0.0625))
         h = (2.0 * math.pi / omega_est) / params.n_steps
+        if not h > 0.0:  # every step would return its input: a false lock
+            raise NumericError(
+                f"integration step {h:.3g} at i={i_abs:.6g} A (i/I_C={i:.4g}): "
+                f"the bias is too large to integrate"
+            )
         settle = params.n_steps * params.settle_periods
         phi, u, steps, _ = _advance(phi, u, i, params.beta_c, h, settle)
         if steps < settle:

@@ -255,21 +255,14 @@ class HdcModel:
         per word (``_pack_blocks``): a read-only (classes,
         ceil(D/block), words) array, made on the first request for
         ``block`` and kept for later ones.  At 21 classes and D = 10,000
-        it is 42 KB at block 10 and 34 KB at block 100."""
+        it is 42 KB at block 10, 34 KB at block 100 and 26 KB at block D,
+        the exact engine's one block."""
         table = self._packed_blocks.get(block)
         if table is None:
             table = _pack_blocks(self.class_matrix, block)
             table.flags.writeable = False
             table = self._packed_blocks.setdefault(block, table)
         return table
-
-    @cached_property
-    def packed_classes(self) -> np.ndarray:
-        """``class_matrix`` bit-packed along D: read-only, (classes,
-        ceil(D/8)) uint8, with zero padding bits."""
-        packed = np.packbits(self.class_matrix, axis=1)
-        packed.flags.writeable = False
-        return packed
 
 
 def _encode_corpus(corpus: dict, item: ItemMemory, n_gram: int):
@@ -326,19 +319,47 @@ def hamming(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.count_nonzero(a != b))
 
 
+def _mismatches(model: HdcModel, query: np.ndarray, block: int) -> np.ndarray:
+    """Per-(class, block) counts of the bits where ``query`` differs from
+    the model's class rows, in blocks of ``block`` bits: a (classes,
+    ceil(D/block)) array of the narrowest unsigned dtype that holds
+    ``block``.  ``query`` holds D bits, each 0 or 1, in any bool, integer
+    or float dtype; it is packed as uint8, so any other value is outside
+    the contract.  A wrong query shape, then a block wider than D, raises
+    ``UsageError`` before any work.
+
+    The model's class rows packed one block per word
+    (``HdcModel.packed_blocks``, made once per block size) take one XOR
+    with the query packed the same way and one ``np.bitwise_count``,
+    summed over a block's words.  Padding bits are 0 on both sides, so
+    they always match."""
+    if query.shape != (model.d,):
+        raise UsageError(f"query has shape {query.shape}, expected ({model.d},)")
+    if block > model.d:
+        raise UsageError(f"block size {block} exceeds the model's D={model.d}")
+    query = np.asarray(query, dtype=np.uint8)
+    diff = model.packed_blocks(block) ^ _pack_blocks(query, block)
+    if diff.dtype == np.uint16:  # numpy counts bytes several times faster
+        diff = diff.view(np.uint8)
+    counts = np.bitwise_count(diff)
+    # one or two words take plain adds, which cost far less than a reduce
+    # over so short an axis; two words hold at most 128 bits, so uint8 holds
+    # their sum
+    if counts.shape[-1] == 1:
+        return counts[..., 0]
+    if counts.shape[-1] == 2:
+        return counts[..., 0] + counts[..., 1]
+    return np.add.reduce(counts, axis=-1, dtype=np.min_scalar_type(block))
+
+
 def infer_exact(model: HdcModel, query: np.ndarray) -> tuple[str, dict]:
     """Software popcount oracle: per-class Hamming distance, argmin label
     (ties go to the lowest label index).
 
-    One XOR of the model's packed class matrix with the packed query and
-    one popcount per byte, summed per row in the narrowest unsigned dtype
-    that holds D; the padding bits are 0 on both sides."""
-    if query.shape != (model.d,):
-        raise UsageError(f"query has shape {query.shape}, expected ({model.d},)")
-    diff = np.bitwise_xor(model.packed_classes, np.packbits(query))
-    distances = np.add.reduce(
-        np.bitwise_count(diff), axis=1, dtype=np.min_scalar_type(model.d)
-    )
+    The one-block case of ``infer_tcam``'s count kernel: ``_mismatches``
+    at a block of D bits, so each class's distance is its one block's
+    count.  ``query`` takes the same dtypes as there."""
+    distances = _mismatches(model, query, model.d)[:, 0]
     best = model.labels[int(np.argmin(distances))]
     return best, dict(zip(model.labels, distances.tolist()))
 
@@ -390,36 +411,15 @@ def infer_tcam(
     as uint8, so any other value is outside the contract.  A plan whose
     block is wider than D raises ``UsageError`` before any work.
 
-    The per-block mismatch counts of all classes come from the model's
-    class rows packed one block per word (``HdcModel.packed_blocks``,
-    made once per block size), one XOR with the query packed the same way
-    and one ``np.bitwise_count``, summed over a block's words.  Padding
-    bits are 0 on both sides, so they always match.  The counts index the
-    plan's ``block_tables`` through reversed views, since the tables are
-    indexed by matched count, block - mismatches.  Each class's block
-    energies add in block order, so every value equals the block-by-block
-    scalar evaluation to the last bit.
+    The per-block mismatch counts of all classes come from
+    ``_mismatches``.  They index the plan's ``block_tables`` through
+    reversed views, since the tables are indexed by matched count,
+    block - mismatches.  Each class's block energies add in block order,
+    so every value equals the block-by-block scalar evaluation to the
+    last bit.
     """
-    if query.shape != (model.d,):
-        raise UsageError(f"query has shape {query.shape}, expected ({model.d},)")
-    block = plan.block_size
-    if block > model.d:
-        raise UsageError(f"block size {block} exceeds the model's D={model.d}")
-    query = np.asarray(query, dtype=np.uint8)
-    diff = model.packed_blocks(block) ^ _pack_blocks(query, block)
-    if diff.dtype == np.uint16:  # numpy counts bytes several times faster
-        diff = diff.view(np.uint8)
-    counts = np.bitwise_count(diff)
-    # one or two words take plain adds, which cost far less than a reduce
-    # over so short an axis; two words hold at most 128 bits, so uint8 holds
-    # their sum
-    if counts.shape[-1] == 1:
-        mismatched = counts[..., 0]
-    elif counts.shape[-1] == 2:
-        mismatched = counts[..., 0] + counts[..., 1]
-    else:
-        mismatched = np.add.reduce(counts, axis=-1, dtype=np.min_scalar_type(block))
-    index = mismatched.astype(np.intp)  # once, not inside each take
+    # cast once, not inside each take
+    index = _mismatches(model, query, plan.block_size).astype(np.intp)
     distance, energy = plan.block_tables
     hd = distance[::-1].take(index).sum(axis=1)
     energies = np.add.accumulate(energy[::-1].take(index), axis=1)[:, -1]

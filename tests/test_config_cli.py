@@ -742,6 +742,8 @@ class TestCliErrors:
             ["fe", "sweep", "--cycles", "-1"],
             ["fe", "sweep", "--v-max-V", "inf"],
             ["fe", "sweep", "--v-max-V", "nan"],
+            # finite, but the loop's span 2|v| overflows
+            ["fe", "sweep", "--v-max-V", "1e308"],
             ["device", "iv", "--i-max-uA", "nan"],
             ["device", "iv", "--i-max-uA", "inf"],
             ["hdc", "sweep", "--d", "-10000"],
@@ -995,6 +997,37 @@ class TestCliErrors:
             "stepped within the budget of 9000 steps, last relative change "
             "0.0535 (tolerance 1e-07)"
         ]
+
+    def test_rcsj_bias_whose_square_overflows_exits_4(self, tmp_path, capsys):
+        code, out = run_cli(
+            ["device", "iv", "--model", "rcsj", "--i-max-uA", "1e160",
+             "--points", "2"],
+            tmp_path,
+        )
+        assert code == 4
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "numeric"
+        assert "too large to integrate" in payload["messages"][0]
+        assert not out.exists()
+
+    # 10^15 points are 7 PiB of float64, past the user address space, so
+    # numpy refuses them at once and allocates nothing
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["device", "iv", "--points", "1000000000000000"],
+            ["fe", "sweep", "--points-per-leg", "1000000000000000"],
+            ["hdc", "train", "--text-len", "1000000000000000"],
+        ],
+        ids=lambda a: " ".join(a[:2]),
+    )
+    def test_argument_too_large_to_allocate_exits_3(self, args, tmp_path, capsys):
+        code, out = run_cli(args, tmp_path)
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        assert payload["messages"][0].startswith("Unable to allocate")
+        assert not out.exists()
 
     def test_out_naming_a_file_exits_3(self, tmp_path, capsys):
         path = tmp_path / "taken"

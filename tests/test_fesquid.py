@@ -150,6 +150,15 @@ class TestRcsj:
             oracle = dev.sc.r_n * math.sqrt(max(0.0, i * i - i_c * i_c))
             assert abs(v - oracle) / (dev.sc.r_n * i_c) < 0.01
 
+    @pytest.mark.parametrize("beta_c", [0.0, 0.1])
+    def test_bias_whose_square_overflows_is_a_numeric_error(self, fe_model, beta_c):
+        # (i/I_C)^2 is inf, so the step would be 0 and its first RK4 step a
+        # fixed point: a false lock at V = 0
+        dev = make_device(fe_model, -1)
+        i_c = critical_current(dev)
+        with pytest.raises(NumericError, match="too large to integrate"):
+            simulate_rcsj_iv(dev, [0.0, 1e160 * i_c], RcsjParams(beta_c=beta_c))
+
     def test_bad_bias_points_rejected(self, fe_model):
         dev = make_device(fe_model, -1)
         with pytest.raises(DomainError):

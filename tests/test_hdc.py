@@ -453,6 +453,14 @@ def _infer_tcam_ref(model, query, plan):
     return best, distances, energies
 
 
+def _infer_exact_ref(model, query):
+    """Scalar reference: ``hamming`` per class row, the lowest label index
+    winning a tie."""
+    distances = {lb: hamming(model.class_vectors[lb], query) for lb in model.labels}
+    best = min(model.labels, key=lambda lb: (distances[lb], model.labels.index(lb)))
+    return best, distances
+
+
 def _seeded_text(rng, length):
     """Mixed-case text with symbols outside the alphabet."""
     symbols = list("abcdefghijklmnopqrstuvwxyz   ABCXYZ.,;!?0123456789\n\téÉßø")
@@ -750,7 +758,9 @@ class TestQueryState:
         assert len(set(evaluated)) == len(evaluated)  # each count at most once
         assert 0 < len(evaluated) <= block + 1
 
-    @pytest.mark.parametrize("d", [8, 9, 1001, 1300])
+    # the word-width edges of a block of D bits: one uint8, one uint16, one
+    # or two uint64 words, and a reduce over more
+    @pytest.mark.parametrize("d", [8, 9, 16, 17, 64, 65, 128, 129, 1001, 1300])
     def test_exact_equals_per_row_hamming(self, d):
         rng = np.random.default_rng([18, d])
         labels = tuple(f"c{i}" for i in range(5))
@@ -760,9 +770,7 @@ class TestQueryState:
         queries = [rng.integers(0, 2, d, dtype=np.uint8) for _ in range(4)]
         queries += [vectors["c1"], 1 - vectors["c4"], np.zeros(d, dtype=np.uint8)]
         for q in queries:
-            distances = {lb: hamming(vectors[lb], q) for lb in labels}
-            best = min(labels, key=lambda lb: (distances[lb], labels.index(lb)))
-            assert repr(infer_exact(m, q)) == repr((best, distances))
+            assert repr(infer_exact(m, q)) == repr(_infer_exact_ref(m, q))
 
     def test_wrong_shape_rejected_on_every_call(self, model):
         vectors = dict(model.class_vectors)
@@ -786,10 +794,10 @@ class TestQueryState:
         q = model.class_vectors[model.labels[0]]
         infer_tcam(m, q, BlockPlan(block_size=64))
         infer_exact(m, q)
-        rows, packed = m.class_matrix, m.packed_classes
+        rows, packed = m.class_matrix, m.packed_blocks(m.d)
         infer_tcam(m, q, BlockPlan(block_size=10))
         infer_exact(m, q)
-        assert m.class_matrix is rows and m.packed_classes is packed
+        assert m.class_matrix is rows and m.packed_blocks(m.d) is packed
         assert not rows.flags.writeable and not packed.flags.writeable
 
     def test_packed_blocks_are_built_once_per_block_size(self, model):
@@ -824,6 +832,8 @@ class TestQueryState:
         plan = BlockPlan(block_size=block)
         want = repr(_infer_tcam_ref(model, q, plan))
         assert repr(infer_tcam(model, q.astype(dtype), plan)) == want
+        want = repr(_infer_exact_ref(model, q))
+        assert repr(infer_exact(model, q.astype(dtype))) == want
 
     def test_class_vectors_cannot_change_under_the_matrix(self, model):
         vectors = {lb: model.class_vectors[lb].copy() for lb in model.labels}
