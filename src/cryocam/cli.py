@@ -109,14 +109,21 @@ def _write_manifest(out_dir: Path, command: str, argv, cfg: RunConfig, outputs,
 
 
 def _load_config(args) -> RunConfig:
-    overrides = {}
+    """The config of the file and ``--set`` items; a malformed item is
+    reported with every problem ``parse_config`` finds."""
+    overrides, malformed = {}, []
     for item in args.set or []:
-        pair = split_assignment(item)
-        if pair is None:
-            raise ConfigError([f"--set expects key=value, got {item!r}"])
-        key, raw = pair
-        overrides[key] = raw
-    return parse_config(args.config, overrides)
+        if (pair := split_assignment(item)) is None:
+            malformed.append(f"--set expects key=value, got {item!r}")
+        else:
+            overrides[pair[0]] = pair[1]
+    try:
+        cfg = parse_config(args.config, overrides)
+    except ConfigError as exc:
+        raise ConfigError(exc.violations + malformed) from exc
+    if malformed:
+        raise ConfigError(malformed)
+    return cfg
 
 
 def _out_dir(args) -> Path:

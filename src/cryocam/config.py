@@ -174,28 +174,18 @@ def _violations(cfg: RunConfig) -> list[str]:
     if problems:
         return problems
 
-    # Composite physics constraints; each independent so every breach is
-    # reported, not just the first.
-    superconducting = v["t_op_K"] < v["t_c_base_K"] - v["delta_tc_K"]
-    if not superconducting:
-        problems.append(
+    t_c_low = v["t_c_base_K"] - v["delta_tc_K"]
+    if not v["t_op_K"] < t_c_low:  # a normal device: no window, no Preisach walk
+        return [
             f"operating temperature {v['t_op_K']} K must stay below the "
-            f"lowest polarization-shifted T_C = "
-            f"{v['t_c_base_K'] - v['delta_tc_K']} K"
-        )
-    if v["r_low_state_ohm"] <= v["r_high_state_ohm"]:
-        # else the HD match-line voltage would not rise with matched bits
-        problems.append(
-            f"r_low_state_ohm must exceed r_high_state_ohm, got "
-            f"{v['r_low_state_ohm']} <= {v['r_high_state_ohm']}"
-        )
-    if not superconducting:  # a normal device has no window: no Preisach walk
-        return problems + operating_problems(cfg.bias(), v["fe_v_c_V"], None)
+            f"lowest polarization-shifted T_C = {t_c_low} K",
+            *operating_problems(cfg.bias(), v["fe_v_c_V"], None),
+        ]
     try:  # binding the row record checks every rule over the state table
         cfg.make_array(1, 1)
     except ConfigError as exc:
-        problems += exc.violations
-    return problems
+        return exc.violations
+    return []
 
 
 def split_assignment(text: str) -> tuple[str, str] | None:

@@ -369,30 +369,6 @@ def store_word(array: TcamArray, row: int, bits: str) -> TcamArray:
     return array
 
 
-def write_inequality_problem(v_write: float, v_c: float) -> str | None:
-    """None when V_WRITE/2 < V_C < V_WRITE (a half-select pulse never
-    switches, a full one does), else the violation message."""
-    if 0.5 * v_write < v_c < v_write:
-        return None
-    return (
-        f"write inequality violated: need V_WRITE/2 < V_C < V_WRITE, "
-        f"got V_WRITE={v_write} V, V_C={v_c} V"
-    )
-
-
-def gate_problem(i_rbl_on: float, i_g_crit: float) -> str | None:
-    """None when the asserted gate current switches an hTron, else the
-    violation message.  The hTron is only a gate-threshold switch: a drive
-    strictly above ``i_g_crit`` makes its channel resistive (r_gate), any
-    other keeps it superconducting."""
-    if i_rbl_on > i_g_crit:
-        return None
-    return (
-        f"asserted RBL current {i_rbl_on:.4g} A must exceed the hTron gate "
-        f"threshold {i_g_crit:.4g} A"
-    )
-
-
 def _exact_window(remnants, i_c) -> tuple[float, float]:
     """(largest I_C at a remnant >= 0, smallest I_C at a remnant < 0):
     exact mode reads every state as written only with I_RWL strictly
@@ -404,14 +380,30 @@ def _exact_window(remnants, i_c) -> tuple[float, float]:
 
 def operating_problems(bias: BiasConfig, v_c: float, states) -> list[str]:
     """The violation message of every operating rule ``bias`` breaks at
-    coercive voltage ``v_c``: the write inequality, the gate rule and the
-    bias windows of ``states``, the (remnant fractions, critical currents)
-    of every state a device can reach (None for a normal device, which
-    skips both window rules).  HD mode needs I_RWL above every I_C."""
-    problems = [
-        write_inequality_problem(bias.v_write, v_c),
-        gate_problem(bias.i_rbl_on, bias.i_g_crit),
-    ]
+    coercive voltage ``v_c``, each rule written here only: the write
+    inequality (a half-select pulse never switches, a full one does), the
+    gate rule (a drive strictly above ``i_g_crit`` makes the hTron
+    resistive), the resistance order (else the HD match-line voltage
+    would not rise with matched bits) and the bias windows of ``states``,
+    the (remnant fractions, critical currents) of every state a device
+    can reach (None for a normal device, which skips both window rules).
+    HD mode needs I_RWL above every I_C."""
+    problems = []
+    if not 0.5 * bias.v_write < v_c < bias.v_write:
+        problems.append(
+            f"write inequality violated: need V_WRITE/2 < V_C < V_WRITE, "
+            f"got V_WRITE={bias.v_write} V, V_C={v_c} V"
+        )
+    if not bias.i_rbl_on > bias.i_g_crit:
+        problems.append(
+            f"asserted RBL current {bias.i_rbl_on:.4g} A must exceed the hTron "
+            f"gate threshold {bias.i_g_crit:.4g} A"
+        )
+    if not bias.r_match > bias.r_mismatch:
+        problems.append(
+            f"HD mode requires r_match > r_mismatch: r_match={bias.r_match} ohm "
+            f"vs r_mismatch={bias.r_mismatch} ohm"
+        )
     if states is not None:
         ic_low, ic_high = _exact_window(*states)
         if not ic_low < bias.i_rwl_exact < ic_high:
@@ -426,7 +418,7 @@ def operating_problems(bias: BiasConfig, v_c: float, states) -> list[str]:
                 f"HD mode requires I_RWL > I_C,high: I_RWL={bias.i_rwl_hd:.4g} A "
                 f"vs I_C,high={ic_max:.4g} A"
             )
-    return [problem for problem in problems if problem]
+    return problems
 
 
 @dataclass(frozen=True)
@@ -587,17 +579,16 @@ def invert_ml_voltage_closed_form(
 
 
 def search_energy(
-    result,
+    v_ml: float | np.ndarray,
     n_bits: int,
     i_rwl_per_bit: float,
     t_search: float = BiasConfig.t_search,
 ) -> float | np.ndarray:
     """Energy (J) of one row search: n_bits * I_RWL * V_ML * t_search.
 
-    ``result`` may be a MatchLineResult, a bare ML voltage or an array of
-    voltages, giving an array of energies.
+    ``v_ml`` is one ML voltage, giving a float, or an array of voltages,
+    giving an array of energies.
     """
-    v_ml = getattr(result, "v_ml", result)
     return n_bits * i_rwl_per_bit * v_ml * t_search
 
 

@@ -20,7 +20,14 @@ from cryocam.config import DEFAULTS, build_config, parse_config, range_problem
 from cryocam.errors import ConfigError, CryocamError
 from cryocam.ferroelectric import PreisachModel
 from cryocam.fesquid import RcsjParams
-from cryocam.hdc import save_model, synthetic_corpus, train
+from cryocam.hdc import (
+    encode_text,
+    infer_exact,
+    load_model,
+    save_model,
+    synthetic_corpus,
+    train,
+)
 from cryocam.tcam import BiasConfig, TcamArray, write_bit
 
 
@@ -83,6 +90,15 @@ class TestConfigParsing:
     def test_operating_temperature_must_stay_superconducting(self):
         with pytest.raises(ConfigError, match="polarization-shifted"):
             build_config({"t_op_K": "7.0"})
+
+    def test_normal_device_reports_the_resistance_order(self):
+        # no array is built above T_C, so the rule comes from the window-free
+        # rule list
+        with pytest.raises(ConfigError) as err:
+            build_config({"t_op_K": "7.0", "r_low_state_ohm": "900"})
+        temperature, order = err.value.violations
+        assert "polarization-shifted" in temperature
+        assert order.startswith("HD mode requires r_match > r_mismatch")
 
     def test_overrides_win_over_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -447,6 +463,25 @@ class TestCliHdc:
         assert payload["label"] == "lang01"
         assert set(payload["distances"]) == {"lang00", "lang01", "lang02"}
 
+    def test_infer_exact_engine_matches_infer_exact(self, model_and_text, tmp_path):
+        model, text = model_and_text
+        code, out = run_cli(
+            ["hdc", "infer", "--model", str(model), "--text", str(text),
+             "--engine", "exact"],
+            tmp_path,
+        )
+        assert code == 0
+        loaded = load_model(model)
+        query = encode_text(text.read_text(), loaded.item_memory(), loaded.n_gram)
+        label, distances = infer_exact(loaded, query)
+        payload = json.loads((out / "hdc_infer.json").read_text())
+        assert payload == {
+            "label": label,
+            "engine": "exact",
+            "distances": distances,
+            "energies_J": None,
+        }
+
     def test_infer_energies_follow_bias_and_search_time(
         self, model_and_text, tmp_path
     ):
@@ -599,7 +634,7 @@ class TestCliErrors:
         )
         assert code == 3
         (message,) = error_payload(capsys)["messages"]
-        assert "r_low_state_ohm must exceed r_high_state_ohm" in message
+        assert message.startswith("HD mode requires r_match > r_mismatch")
         assert not out.exists()
 
     def test_block_wider_than_the_model_exits_3(
@@ -646,6 +681,81 @@ class TestCliErrors:
              str(tmp_path / "none.txt")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("empty", ["store", "keys"])
+    def test_empty_store_or_keys_file_exits_3(self, empty, tmp_path, capsys):
+        files = {"store": tmp_path / "store.txt", "keys": tmp_path / "keys.txt"}
+        files["store"].write_text("01\n")
+        files["keys"].write_text("01\n")
+        files[empty].write_text("\n")
+        code, out = run_cli(
+            ["tcam", "search", "--mode", "exact", "--store", str(files["store"]),
+             "--keys", str(files["keys"])],
+            tmp_path,
+        )
+        assert code == 3
+        (message,) = error_payload(capsys)["messages"]
+        assert message.startswith(f"{files[empty]}: no ")
+        assert not out.exists()
+
+    def test_hd_search_with_a_dont_care_key_exits_3(self, tmp_path, capsys):
+        store, keys = tmp_path / "store.txt", tmp_path / "keys.txt"
+        store.write_text("01\n")
+        keys.write_text("01\n0d\n")
+        code, out = run_cli(
+            ["tcam", "search", "--mode", "hd", "--store", str(store), "--keys",
+             str(keys)],
+            tmp_path,
+        )
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "error"
+        assert payload["messages"] == [
+            "HD mode does not support don't-care trits; use exact mode"
+        ]
+        assert not out.exists()
+
+    def test_calibration_without_a_resistance_below_the_gate_exits_3(
+        self, tmp_path, capsys
+    ):
+        # E_match = 40 aJ at the I_RWL that E_d = 5 aJ sets implies ~200 kohm
+        code, out = run_cli(
+            ["tcam", "calibrate", "--binary-aJ", "20", "--ternary-aJ", "15"],
+            tmp_path,
+        )
+        assert code == 3
+        (message,) = error_payload(capsys)["messages"]
+        assert re.search(
+            "implied match resistance .* not below the .* gate branch", message
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, file_problems",
+        [("", []), ("bogus = 1\n", ["line 1: unknown key 'bogus'"])],
+        ids=["clean-file", "unknown-key"],
+    )
+    def test_malformed_set_reported_with_config_problems(
+        self, lines, file_problems, tmp_path, capsys
+    ):
+        # a malformed --set item once ended the run before the file was
+        # read, and hid every later item
+        path = tmp_path / "run.cfg"
+        path.write_text(lines)
+        code, out = run_cli(
+            ["--config", str(path), "--set", "foo", "--set", "seed=5", "--set",
+             "bar", "tcam", "calibrate"],
+            tmp_path,
+        )
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        assert payload["messages"] == [
+            *file_problems,
+            "--set expects key=value, got 'foo'",
+            "--set expects key=value, got 'bar'",
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["ht_i_ch_crit_uA", "ht_t_switch_ns"])
     def test_dropped_keys_are_unknown(self, key, tmp_path, capsys):

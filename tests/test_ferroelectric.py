@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cryocam.errors import DomainError, UsageError
 from cryocam.ferroelectric import (
@@ -59,6 +61,25 @@ class TestSaturationAndRemnant:
         remnant_fraction(state)
         assert np.array_equal(state.relay_up, before)
         assert state.last_v == v_before
+
+    @pytest.mark.parametrize("end", [-1.0, 0.0, 1.0])
+    @given(
+        history=st.lists(st.floats(-3.0, 3.0), max_size=6),
+        size=st.floats(0.05, 3.0),
+    )
+    def test_remnant_is_the_fraction_left_at_zero_volts(self, end, history, size):
+        # a history ending below, at or above 0 V: remnant_fraction reads
+        # what driving the device back to 0 V would leave.  The spread is
+        # wide enough that a return to 0 V flips hysterons both ways; at
+        # the defaults it flips none
+        model = PreisachModel(grid_n=32, v_c=0.6, sigma_v=0.4)
+        state = model.initial_state()
+        apply_waveform(state, [*history, end * size])
+        settled = state.clone()
+        _, p = apply_voltage(settled, 0.0)
+        assert remnant_fraction(state) == pytest.approx(
+            np.clip(p / model.p_s, -1.0, 1.0), rel=0.0, abs=1e-12
+        )
 
     def test_odd_symmetry_for_saturating_histories(self, model):
         history = [-model.v_span, 1.4, -0.6, 0.9, 0.0]

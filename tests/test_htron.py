@@ -1,6 +1,6 @@
 """hTron switch semantics: the strict gate threshold, which the gate rule
-``tcam.gate_problem`` states, and the threshold, resistance and latency
-it takes from the row record."""
+of ``tcam.operating_problems`` states, and the threshold, resistance and
+latency it takes from the row record."""
 
 import dataclasses
 
@@ -8,35 +8,48 @@ import numpy as np
 import pytest
 
 from cryocam.errors import DomainError
-from cryocam.tcam import BiasConfig, TcamArray, gate_problem
+from cryocam.ferroelectric import PreisachModel
+from cryocam.tcam import BiasConfig, TcamArray, operating_problems
 
 I_G_CRIT = BiasConfig().i_g_crit
+V_C = PreisachModel().v_c
+
+
+def gate_problems(i_rbl_on: float) -> list[str]:
+    """The operating problems of the default record driven at
+    ``i_rbl_on``; every other rule holds there, so only the gate rule can
+    speak."""
+    return operating_problems(BiasConfig(i_rbl_on=i_rbl_on), V_C, None)
 
 
 class TestSwitching:
-    """``gate_problem(i, i_g_crit)`` is None exactly when a gate drive of
-    ``i`` switches the hTron: strictly above the threshold."""
+    """``gate_problems(i)`` is empty exactly when a gate drive of ``i``
+    switches the hTron: strictly above the threshold."""
 
     def test_idle_stays_superconducting(self):
-        assert "hTron gate threshold" in gate_problem(0.0, I_G_CRIT)
+        # a record never carries an idle drive: 0 A is no asserted current
+        with pytest.raises(DomainError, match="i_rbl_on"):
+            BiasConfig(i_rbl_on=0.0)
 
     def test_gate_overdrive_switches(self):
-        assert gate_problem(25e-6, I_G_CRIT) is None
-        assert gate_problem(np.nextafter(I_G_CRIT, 1.0), I_G_CRIT) is None
+        assert gate_problems(25e-6) == []
+        assert gate_problems(np.nextafter(I_G_CRIT, 1.0)) == []
 
     def test_exact_threshold_stays_superconducting(self):
-        assert gate_problem(I_G_CRIT, I_G_CRIT) is not None
-        assert gate_problem(np.nextafter(I_G_CRIT, 0.0), I_G_CRIT) is not None
+        for i in (I_G_CRIT, np.nextafter(I_G_CRIT, 0.0)):
+            (problem,) = gate_problems(i)
+            assert "hTron gate threshold" in problem
 
     def test_monotone_threshold_property(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             g1, g2 = sorted(rng.uniform(0.0, 50e-6, size=2))
-            if gate_problem(g1, I_G_CRIT) is None:
-                assert gate_problem(g2, I_G_CRIT) is None
+            if not gate_problems(g1):
+                assert not gate_problems(g2)
 
     def test_negative_currents_rejected(self):
-        assert gate_problem(-1e-6, I_G_CRIT) is not None
+        with pytest.raises(DomainError, match="i_rbl_on"):
+            BiasConfig(i_rbl_on=-1e-6)
 
     def test_record_is_frozen(self):
         bias = BiasConfig()

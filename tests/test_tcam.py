@@ -394,7 +394,7 @@ class TestEnergy:
         array = TcamArray(1, 1)
         store_word(array, 0, "1")
         res = search_exact(array, SearchKey("0"))[0]
-        assert search_energy(res, 1, array.bias.i_rwl_exact) == 0.0
+        assert search_energy(res.v_ml, 1, array.bias.i_rwl_exact) == 0.0
 
     def test_per_bit_energy_constant_at_fixed_match_fraction(self):
         i = 5e-6
@@ -410,7 +410,7 @@ class TestEnergy:
         store_word(array, 0, "0110")
         res = search_hd(array, SearchKey("0110"))[0]
         assert res.energy == pytest.approx(
-            search_energy(res, 4, array.bias.i_rwl_hd, array.bias.t_search),
+            search_energy(res.v_ml, 4, array.bias.i_rwl_hd, array.bias.t_search),
             rel=1e-12,
         )
         assert res.power == pytest.approx(4 * array.bias.i_rwl_hd * res.v_ml)
@@ -515,19 +515,22 @@ class TestOperatingPoint:
 
     # ranges that straddle each rule's bound at the defaults: V_C = 1.2 V,
     # i_g_crit = 20 uA, the array's exact window ~ (2.30, 4.04) uA at
-    # V_WRITE = 2 V and the largest state I_C ~ 4.19 uA
+    # V_WRITE = 2 V and the largest state I_C ~ 4.19 uA; both branch
+    # resistances draw 900 ohm often, so r_match = r_mismatch comes up
     @given(
         v_write=st.floats(1.1, 2.5),
         i_rbl_on=st.floats(18e-6, 60e-6),
         i_rwl_exact=st.floats(2e-6, 4.3e-6),
         i_rwl_hd=st.floats(4e-6, 9e-6),
+        r_match=st.just(900.0) | st.floats(600.0, 1200.0),
+        r_mismatch=st.just(900.0) | st.floats(600.0, 1200.0),
     )
     def test_binding_fails_exactly_on_operating_problems(
-        self, v_write, i_rbl_on, i_rwl_exact, i_rwl_hd
+        self, v_write, i_rbl_on, i_rwl_exact, i_rwl_hd, r_match, r_mismatch
     ):
         bias = BiasConfig(
             v_write=v_write, i_rbl_on=i_rbl_on, i_rwl_exact=i_rwl_exact,
-            i_rwl_hd=i_rwl_hd,
+            i_rwl_hd=i_rwl_hd, r_match=r_match, r_mismatch=r_mismatch,
         )
         _, remnants, _ = tcam._state_table(PreisachModel(), v_write)
         i_c = [critical_current_at(p, SuperconductorParams(), 4.0) for p in remnants]
@@ -569,6 +572,25 @@ class TestOperatingPoint:
                 assert [res.v_ml > 0.0 for res in results] == [
                     stored == key for stored in words
                 ]
+
+    @pytest.mark.parametrize("r_match", [800.0, 900.0])
+    def test_resistance_order_checked_at_binding(self, r_match):
+        # a matched branch no more resistive than a mismatched one (900
+        # ohm) once bound, and the HD match line then fell, or stayed
+        # flat, as the matched count grew
+        rule = "HD mode requires r_match > r_mismatch"
+        bad = BiasConfig(r_match=r_match)
+        with pytest.raises(ConfigError) as info:
+            TcamArray(1, 1, bias=bad)
+        assert info.value.violations == [
+            f"{rule}: r_match={r_match} ohm vs r_mismatch=900.0 ohm"
+        ]
+        array = TcamArray(2, 2)
+        store_word(array, 0, "01")
+        before = pickle.dumps(array)
+        with pytest.raises(ConfigError, match=rule):
+            array.bias = bad
+        assert pickle.dumps(array) == before
 
     def test_normal_device_skips_the_window_rules(self):
         bias = BiasConfig(i_rbl_on=10e-6, i_rwl_exact=9e-6, i_rwl_hd=1e-6)
