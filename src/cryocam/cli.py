@@ -110,7 +110,8 @@ def _write_manifest(out_dir: Path, command: str, argv, cfg: RunConfig, outputs,
 
 def _load_config(args) -> RunConfig:
     """The config of the file and ``--set`` items; a malformed item is
-    reported with every problem ``parse_config`` finds."""
+    reported with every problem ``parse_config`` finds, or with the
+    OS's refusal to read the file."""
     overrides, malformed = {}, []
     for item in args.set or []:
         if (pair := split_assignment(item)) is None:
@@ -121,6 +122,8 @@ def _load_config(args) -> RunConfig:
         cfg = parse_config(args.config, overrides)
     except ConfigError as exc:
         raise ConfigError(exc.violations + malformed) from exc
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ConfigError([str(exc), *malformed]) from exc
     if malformed:
         raise ConfigError(malformed)
     return cfg

@@ -18,7 +18,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, UsageError
 from .tcam import (
@@ -35,6 +34,12 @@ _SYMBOLS = ALPHABET + OTHER_SYMBOL
 #: the alphabet, so code points clipped to it take the bucket id.
 _ASCII_IDS = np.full(128, _SYMBOLS.index(OTHER_SYMBOL), dtype=np.uint8)
 _ASCII_IDS[[ord(sym) for sym in _SYMBOLS]] = np.arange(len(_SYMBOLS))
+#: An n-gram key word holds 3 symbol ids of 5 bits (28 symbols) in a
+#: uint16, which np.lexsort sorts by radix, unlike wider integers.
+_SYMBOL_BITS = 5
+_KEY_SYMBOLS = 3
+#: Rows summed in uint8 at once: 255 ones fit, 256 wrap to 0.
+_MAX_RUN = 255
 
 #: Fixed SRAM-TCAM reference energy per 10,000-bit comparison at block
 #: size 10, used only as a report column.
@@ -117,15 +122,20 @@ def encode_text(text: str, item: ItemMemory, n_gram: int) -> np.ndarray:
 
     1. symbol ids come from the text's UTF-32 code points through a
        128-entry ASCII table, code points >= 128 taking the bucket;
-    2. one ``np.lexsort`` of the n-gram windows and a row-change mask
-       give the distinct n-grams and their occurrence counts;
+    2. each window's ids are packed into uint16 keys, 5 bits per symbol
+       and 3 symbols per word (ceil(n_gram / 3) words), and one
+       ``np.lexsort`` of the keys with a change mask gives the distinct
+       n-grams, each read from ``ids`` at its first window, and their
+       occurrence counts;
     3. each distinct n-gram is bound once, by XOR of rows gathered from
        the item memory's bit-packed symbol table rolled by the n-gram
        offset (``ItemMemory.packed_roll``, made once per offset), so a
        bound row is ceil(D/8) bytes;
-    4. the bound rows, ordered by count, are unpacked once, and each
-       equal-count slice is summed in the narrowest unsigned dtype that
-       holds its row count, then weighted by the count in int64.
+    4. the bound rows, ordered by count, are unpacked once and cut into
+       runs of equal count and at most 255 rows; each run is summed in
+       uint8 into one (runs, D) matrix, and one weighted product by the
+       run counts adds them up in the narrowest unsigned dtype that
+       holds the number of windows, which bounds every per-bit count.
 
     The per-bit counts are the same integers as for one bound row per
     n-gram position, so the bits are too.  The peak allocation is about
@@ -141,28 +151,33 @@ def encode_text(text: str, item: ItemMemory, n_gram: int) -> np.ndarray:
         )
     points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
     ids = _ASCII_IDS[np.minimum(points, len(_ASCII_IDS) - 1)]
-    windows = sliding_window_view(ids, n_gram)
-    windows = windows[np.lexsort(windows.T)]
+    n_windows = len(ids) - n_gram + 1
+    keys = np.zeros((-(-n_gram // _KEY_SYMBOLS), n_windows), dtype=np.uint16)
+    for k in range(n_gram):
+        word = keys[k // _KEY_SYMBOLS]
+        word <<= _SYMBOL_BITS
+        word |= ids[k : k + n_windows]
+    order = np.lexsort(keys)
+    keys = keys[:, order]
     starts = np.flatnonzero(
-        np.concatenate(([True], (windows[1:] != windows[:-1]).any(axis=1)))
+        np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
     )
-    counts = np.diff(starts, append=len(windows))
+    counts = np.diff(starts, append=n_windows)
     by_count = np.argsort(counts)
-    grams, counts = windows[starts[by_count]], counts[by_count]
-    bound = item.packed_roll(0)[grams[:, 0]]
+    first, counts = order[starts[by_count]], counts[by_count]
+    bound = item.packed_roll(0)[ids[first]]
     for k in range(1, n_gram):
-        bound ^= item.packed_roll(k)[grams[:, k]]
+        bound ^= item.packed_roll(k)[ids[first + k]]
     rows = np.unpackbits(bound, axis=1, count=item.d)
-    weights, first = np.unique(counts, return_index=True)
-    edges = [*first.tolist(), len(counts)]
-    ones = np.zeros(item.d, dtype=np.int64)
-    for w, lo, hi in zip(weights.tolist(), edges, edges[1:]):
-        # an explicit int64 product: w * uint8 stays uint8 and wraps
-        narrow = np.min_scalar_type(hi - lo)
-        ones += np.multiply(
-            np.add.reduce(rows[lo:hi], axis=0, dtype=narrow), w, dtype=np.int64
-        )
-    return _majority(ones, len(windows), item.tie_break)
+    edges = [*np.flatnonzero(np.diff(counts, prepend=0)).tolist(), len(counts)]
+    runs = [lo for a, b in zip(edges, edges[1:]) for lo in range(a, b, _MAX_RUN)]
+    sums = np.empty((len(runs), item.d), dtype=np.uint8)
+    for j, (lo, hi) in enumerate(zip(runs, [*runs[1:], len(counts)])):
+        np.add.reduce(rows[lo:hi], axis=0, dtype=np.uint8, out=sums[j])
+    # every per-bit count is at most n_windows, so this sum cannot wrap
+    acc = np.min_scalar_type(n_windows)
+    ones = np.einsum("j,jd->d", counts[runs].astype(acc), sums, dtype=acc)
+    return _majority(ones, n_windows, item.tie_break)
 
 
 def _pack_blocks(bits: np.ndarray, block: int) -> np.ndarray:

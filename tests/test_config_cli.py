@@ -757,6 +757,22 @@ class TestCliErrors:
         ]
         assert not out.exists()
 
+    def test_malformed_set_reported_with_an_unreadable_config(
+        self, tmp_path, capsys
+    ):
+        # a config path the OS refused once hid every malformed --set item
+        code, out = run_cli(
+            ["--config", str(tmp_path), "--set", "foo", "tcam", "calibrate"],
+            tmp_path,
+        )
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        refusal, set_problem = payload["messages"]
+        assert "Is a directory" in refusal
+        assert set_problem == "--set expects key=value, got 'foo'"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["ht_i_ch_crit_uA", "ht_t_switch_ns"])
     def test_dropped_keys_are_unknown(self, key, tmp_path, capsys):
         code, _ = run_cli(["--set", f"{key}=0.3", "tcam", "calibrate"], tmp_path)

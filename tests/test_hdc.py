@@ -3,6 +3,7 @@
 import json
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -537,6 +538,46 @@ class TestAgainstScalarReference:
         assert np.array_equal(
             encode_text(text, item, n_gram), _encode_text_ref(text, item, n_gram)
         )
+
+    @pytest.mark.parametrize("n_gram", [12, 13, 24, 25])
+    def test_encoding_across_a_key_word_boundary(self, n_gram):
+        # 3 symbols of 5 bits fill a uint16 key word, so 12 and 24 end a
+        # word and 13 and 25 start one.  Two windows that differ only in
+        # a first symbol 16 ids apart ("a", "q") share its low 4 bits, so
+        # a word that kept 4 symbols would shift the difference out.
+        item = ItemMemory(D, SEED)
+        rng = np.random.default_rng([16, n_gram])
+        body = "".join(rng.choice(list(hdc.ALPHABET), n_gram - 1))
+        for text in ("a" + body + "q" + body, _seeded_text(rng, 700)):
+            assert np.array_equal(
+                encode_text(text, item, n_gram), _encode_text_ref(text, item, n_gram)
+            )
+
+    def test_encoding_counts_past_uint16(self):
+        # 69,998 windows: the per-bit counts and the weight of "aaa"
+        # exceed 65,535, so the weighted sum must be wider than uint16
+        item = ItemMemory(64, SEED)
+        rng = np.random.default_rng(17)
+        text = "a" * 40000 + "".join(rng.choice(list("abc "), 30000))
+        assert np.array_equal(
+            encode_text(text, item, 3), _encode_text_ref(text, item, 3)
+        )
+
+    def test_encoding_cuts_equal_count_runs_at_255_rows(self):
+        # 400 random letters, twice: most trigrams occur exactly twice.
+        # With every symbol vector all ones, each odd n-gram binds to all
+        # ones, so a uint8 sum of 256 such rows would wrap to 0.
+        rng = np.random.default_rng(18)
+        text = "".join(rng.choice(list(hdc.ALPHABET), 400)) * 2
+        counts = Counter(text[i : i + 3] for i in range(len(text) - 2))
+        assert sum(c == 2 for c in counts.values()) > 255
+        ones_item = ItemMemory(D, SEED)
+        ones_item._table[:] = 1  # ``vectors`` views these rows
+        for item in (ItemMemory(D, SEED), ones_item):
+            assert np.array_equal(
+                encode_text(text, item, 3), _encode_text_ref(text, item, 3)
+            )
+        assert encode_text(text, ones_item, 3).all()
 
     def test_all_distinct_encoding_memory(self):
         # nearly every trigram distinct: the peak is the packed rows plus
