@@ -131,16 +131,18 @@ def encode_text(text: str, item: ItemMemory, n_gram: int) -> np.ndarray:
        the item memory's bit-packed symbol table rolled by the n-gram
        offset (``ItemMemory.packed_roll``, made once per offset), so a
        bound row is ceil(D/8) bytes;
-    4. the bound rows, ordered by count, are unpacked once and cut into
-       runs of equal count and at most 255 rows; each run is summed in
-       uint8 into one (runs, D) matrix, and one weighted product by the
-       run counts adds them up in the narrowest unsigned dtype that
-       holds the number of windows, which bounds every per-bit count.
+    4. the bound rows, ordered by count, are cut into runs of equal
+       count and at most 255 rows; each run is unpacked on its own and
+       summed in uint8 into one (runs, D) matrix, and one weighted
+       product by the run counts adds them up in the narrowest unsigned
+       dtype that holds the number of windows, which bounds every
+       per-bit count.
 
     The per-bit counts are the same integers as for one bound row per
     n-gram position, so the bits are too.  The peak allocation is about
-    1.125 bytes per (distinct n-gram, bit): the packed rows plus their
-    unpacked uint8 copy.
+    two packed copies of the bound rows, ceil(D/8) bytes per distinct
+    n-gram each (step 3's XOR operand), or the packed rows plus one
+    unpacked run of at most 255 x D bytes.
     """
     if n_gram < 1:
         raise DomainError(f"n_gram must be >= 1, got {n_gram}")
@@ -168,12 +170,12 @@ def encode_text(text: str, item: ItemMemory, n_gram: int) -> np.ndarray:
     bound = item.packed_roll(0)[ids[first]]
     for k in range(1, n_gram):
         bound ^= item.packed_roll(k)[ids[first + k]]
-    rows = np.unpackbits(bound, axis=1, count=item.d)
     edges = [*np.flatnonzero(np.diff(counts, prepend=0)).tolist(), len(counts)]
     runs = [lo for a, b in zip(edges, edges[1:]) for lo in range(a, b, _MAX_RUN)]
     sums = np.empty((len(runs), item.d), dtype=np.uint8)
     for j, (lo, hi) in enumerate(zip(runs, [*runs[1:], len(counts)])):
-        np.add.reduce(rows[lo:hi], axis=0, dtype=np.uint8, out=sums[j])
+        rows = np.unpackbits(bound[lo:hi], axis=1, count=item.d)
+        np.add.reduce(rows, axis=0, dtype=np.uint8, out=sums[j])
     # every per-bit count is at most n_windows, so this sum cannot wrap
     acc = np.min_scalar_type(n_windows)
     ones = np.einsum("j,jd->d", counts[runs].astype(acc), sums, dtype=acc)

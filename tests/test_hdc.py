@@ -580,8 +580,8 @@ class TestAgainstScalarReference:
         assert encode_text(text, ones_item, 3).all()
 
     def test_all_distinct_encoding_memory(self):
-        # nearly every trigram distinct: the peak is the packed rows plus
-        # one unpacked uint8 copy, ~1.125 bytes per (n-gram, bit)
+        # nearly every trigram distinct: the peak is two packed copies of
+        # the bound rows, or the packed rows plus one unpacked run
         rng = np.random.default_rng(15)
         text = "".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), 2000))
         item = ItemMemory(10000, SEED)
@@ -592,6 +592,22 @@ class TestAgainstScalarReference:
         finally:
             tracemalloc.stop()
         assert peak < 30e6
+
+    def test_encoding_unpacks_one_run_at_a_time(self):
+        # 5,000 random letters at n_gram 8: nearly every n-gram is distinct
+        # and occurs once, so unpacking every bound row at once, 8 bytes
+        # per packed byte, would peak near 9 packed copies
+        rng = np.random.default_rng(3)
+        text = "".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), 5000))
+        item = ItemMemory(10000, SEED)
+        packed = len({text[i : i + 8] for i in range(len(text) - 7)}) * 1250
+        tracemalloc.start()
+        try:
+            encode_text(text, item, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * packed
 
     def test_encoding_memory_is_bounded(self):
         text = synthetic_corpus(1, 1, 2000, seed=5)["lang00"][0]

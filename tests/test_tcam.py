@@ -224,6 +224,71 @@ class TestWriteScheme:
         assert array.read_word(1) == "01"
 
 
+class TestHalfPulseClosure:
+    @pytest.mark.parametrize(
+        "model, n_states",
+        [(PreisachModel(), 6), (PreisachModel(sigma_v=0.4), 10)],
+        ids=["6-state", "10-state"],
+    )
+    def test_walks_equal_pulse_by_pulse_folds(self, model, n_states):
+        array = TcamArray(1, 2, fe_model=model)  # binds at the default bias
+        v = array.bias.v_write
+        pulses = (array._pulse[0.5 * v], array._pulse[-0.5 * v])
+        maps, then, before = tcam._half_closure(array._pulse, v)
+        assert len(array._states) == n_states
+        assert maps.dtype == np.int32 and maps.shape[1] == n_states
+        assert np.array_equal(maps[0], np.arange(n_states))
+        n_maps = len(maps)
+        for table in (then, before):
+            assert np.shape(table) == (n_maps, 2)
+            assert ((0 <= np.array(table)) & (np.array(table) < n_maps)).all()
+        for m, g in itertools.product(range(n_maps), (0, 1)):
+            assert np.array_equal(maps[then[m][g]], pulses[g][maps[m]])
+            assert np.array_equal(maps[before[m][g]], maps[m][pulses[g]])
+
+        def fold(gens):
+            state = np.arange(n_states)
+            for g in gens:
+                state = pulses[g][state]
+            return state
+
+        # every element is the fold of the pulses on its path from the
+        # identity
+        paths, queue = {0: []}, [0]
+        for m in queue:  # elements found below join the walk
+            for g in (0, 1):
+                if then[m][g] not in paths:
+                    paths[then[m][g]] = paths[m] + [g]
+                    queue.append(then[m][g])
+        assert sorted(paths) == list(range(n_maps))
+        for e, gens in paths.items():
+            assert np.array_equal(maps[e], fold(gens))
+
+        rng = np.random.default_rng(27)
+        for length in range(65):
+            gens = rng.integers(0, 2, length).tolist()
+            prefix = tcam._walk(then, gens)
+            suffix = tcam._walk(before, gens[::-1])
+            assert len(prefix) == len(suffix) == length + 1
+            for j in range(length + 1):
+                assert np.array_equal(maps[prefix[j]], fold(gens[:j]))
+                assert np.array_equal(maps[suffix[j]], fold(gens[length - j :]))
+
+    def test_made_by_the_first_word_write_and_shared_by_blank_copies(self):
+        array = TcamArray(3, 4)
+        copy = array.blank(2, 5)
+        write_bit(array, 0, 0, 1)
+        store_word(array.blank(2, 1), 1, "0")
+        assert array._closure == {}  # one column needs no closure
+        store_word(copy, 1, "10110")
+        v = array.bias.v_write
+        assert list(array._closure) == [v]
+        closure = array._closure[v]
+        store_word(array, 2, "0110")
+        assert array._closure[v] is closure
+        assert build_config({})._template._closure == {}
+
+
 class TestExactSearch:
     def test_six_case_truth_table(self):
         array = TcamArray(2, 1)
@@ -646,8 +711,8 @@ class _ReferenceArray:
     (n_open - n_low)/r_mismatch in HD mode, n_gated/r_gate +
     n_open/r_fs_exact in exact mode."""
 
-    def __init__(self, rows, cols, bias):
-        self.model = PreisachModel()
+    def __init__(self, rows, cols, bias, model=None):
+        self.model = model or PreisachModel()
         self.sc = SuperconductorParams()
         self.bias = bias
         self.fe = [
@@ -917,7 +982,46 @@ def write_histories(draw):
     return rows, cols, v_write, draw(st.lists(st.tuples(row, word) | bit, max_size=4))
 
 
+_TEN_STATE = TcamArray(1, 1, fe_model=PreisachModel(sigma_v=0.4))
+
+
+@st.composite
+def wide_write_histories(draw):
+    """A 10-state array of up to 3 rows and 40 columns, and one to three
+    word writes (row, word) and bit writes (row, col, bit) into its
+    first k rows, k drawn from 1..rows."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    row = st.integers(0, draw(st.integers(1, rows)) - 1)
+    word = st.text("01", min_size=cols, max_size=cols)
+    bit = st.tuples(row, st.integers(0, cols - 1), st.integers(0, 1))
+    ops = st.lists(st.tuples(row, word) | bit, min_size=1, max_size=3)
+    return rows, cols, draw(ops)
+
+
 class TestWriteProperties:
+    @given(wide_write_histories())
+    def test_ten_state_devices_follow_the_per_device_model(self, case):
+        # wide words walk long pulse sequences through the closure of a
+        # table larger than the default one
+        rows, cols, ops = case
+        array = _TEN_STATE.blank(rows, cols)
+        assert len(array._states) == 10
+        ref = _ReferenceArray(rows, cols, array.bias, array.fe_model)
+        for op in ops:
+            if len(op) == 2:
+                row, word = op
+                store_word(array, row, word)
+                for c, b in enumerate(word):
+                    ref.write_bit(row, c, int(b))
+            else:
+                write_bit(array, *op)
+                ref.write_bit(*op)
+            for r, c, branch in itertools.product(range(rows), range(cols), (1, 2)):
+                fe = array.fe_state(r, c, branch)
+                want = ref.fe[r][c][branch - 1]
+                assert np.array_equal(fe.relay_up, want.relay_up)
+                assert fe.last_v == want.last_v
+
     @given(write_histories())
     def test_every_device_follows_the_per_device_model(self, case):
         # the composed word write against one relay model per device,
