@@ -19,6 +19,7 @@ low-I_C device exactly when the bit matches.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -117,11 +118,14 @@ class TcamArray:
     superconductor, ``t_op`` and with them each state's critical current
     (``_i_c``), the I_C window (``exact_window``) and the sign table
     (``_negative``) are fixed then.  Fresh devices (id 0) sit at
-    negative saturation settled at 0 V.  A word write walks the closure
-    of the two half-pulse maps (``_half_closure``, 5 maps on every
-    bindable table measured), made on the first write of two or more
-    columns and shared by ``blank`` copies: O(R C) per word, and a
-    21 x 10,000 array fills in about 0.15 s.
+    negative saturation settled at 0 V.  ``ids`` is intp, so every
+    gather by state id takes numpy's native index width.  The flat pulse
+    maps a write reads (``_write_maps``) are made with the state table.
+    A word write walks the closure of the two half-pulse maps
+    (``_half_closure``, 5 maps on every bindable table measured), made
+    on the first write of two or more columns; ``blank`` copies share
+    both.  A word costs O(R C), and a 21 x 10,000 array fills in about
+    0.06 s.
 
     Searches read the row record ``bias``, which holds every branch
     resistance, the bias currents, the search time and the gate threshold
@@ -156,6 +160,7 @@ class TcamArray:
         self._states, self._remnants, self._pulse = _state_table(
             self.fe_model, bias.v_write
         )
+        self._write_maps = _write_maps(self._pulse, bias.v_write)
         # 1.0 per state at negative remnant: under a bound record, all a
         # search reads of a device
         self._negative = (self._remnants < 0.0).astype(np.float64)
@@ -164,9 +169,10 @@ class TcamArray:
         )
         self._bias = None
         self.bias = bias
-        self.ids = np.zeros((rows, cols, 2), dtype=np.int32)
-        # v_write -> the closure of its half-pulse maps, made on the first
-        # write of two or more columns; blank() copies share this dict
+        self.ids = np.zeros((rows, cols, 2), dtype=np.intp)
+        # v_write -> the closure of its half-pulse maps in branch-pair
+        # form, made on the first write of two or more columns; blank()
+        # copies share this dict
         self._closure = {}
 
     @property
@@ -189,12 +195,13 @@ class TcamArray:
 
     def blank(self, rows: int, cols: int) -> TcamArray:
         """A fresh rows x cols array built like this one: it shares the
-        devices' parameters, the (read-only) state and sign tables and the
-        row record, so no Preisach walk runs and no rule is checked again."""
+        devices' parameters, the (read-only) state, sign and write tables,
+        the half-pulse closures and the row record, so no Preisach walk
+        runs and no rule is checked again."""
         _check_shape(rows, cols)
         array = copy.copy(self)
         array.rows, array.cols = rows, cols
-        array.ids = np.zeros((rows, cols, 2), dtype=np.int32)
+        array.ids = np.zeros((rows, cols, 2), dtype=np.intp)
         return array
 
     @property
@@ -212,9 +219,11 @@ class TcamArray:
 
     def read_bit(self, row: int, col: int) -> int:
         """Stored bit from the device states (fs1 negative remnant = 1)."""
+        _check_address(self, row, col)
         return 1 if self._remnants[self.ids[row, col, 0]] < 0.0 else 0
 
     def read_word(self, row: int) -> str:
+        _check_address(self, row, 0)
         ones = self._remnants[self.ids[row, :, 0]] < 0.0
         return (ones.astype(np.uint8) + ord("0")).tobytes().decode()
 
@@ -252,6 +261,23 @@ def _state_table(
             pulse_map.append(sid)
     remnants = np.array([remnant_fraction(fe) for fe in states])
     return states, remnants, {v: np.array(m, dtype=np.int32) for v, m in maps.items()}
+
+
+def _write_maps(
+    pulse: dict[float, np.ndarray], v_write: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pulse maps every write gathers through, made with the state
+    table: (half, full, offsets), the (branch, bit) half and full maps
+    flattened branch-major, and a 2 x 2 table of the flat offsets of bit
+    b's (branch 0, branch 1) maps, all intp like ``ids``.  A 1 drives fs1
+    (branch 0) to -V and fs2 to +V, a 0 the mirror, so the sign is +
+    where branch == bit."""
+    up, down = pulse[0.5 * v_write], pulse[-0.5 * v_write]
+    plus, minus = pulse[v_write], pulse[-v_write]
+    half = np.array([up, down, down, up], dtype=np.intp).reshape(-1)
+    full = np.array([plus, minus, minus, plus], dtype=np.intp).reshape(-1)
+    offsets = np.array([[0, 2], [1, 3]], dtype=np.intp) * len(up)
+    return half, full, offsets
 
 
 def _check_shape(rows: int, cols: int):
@@ -296,6 +322,26 @@ def _half_closure(
     return np.array(maps), then, before
 
 
+def _branch_pairs(
+    closure: tuple[np.ndarray, list[list[int]], list[list[int]]],
+) -> tuple[np.ndarray, list[list[int]], list[list[int]], np.ndarray]:
+    """A ``_half_closure`` as one walk over both branches of a word:
+    (maps, then, before, offsets), the maps flattened to intp, the
+    M^2 x 2 tables of pair ids under a column's bit, and the (M^2, 2)
+    intp flat offsets of each pair's two maps.  Pair e0 * M + e1 holds
+    branch 0 at element e0 and branch 1 at e1; bit b moves branch 0 by
+    generator b and branch 1 by generator b ^ 1."""
+    maps, then, before = closure
+    m, n_states = maps.shape
+    pairs = list(itertools.product(range(m), repeat=2))
+    then2, before2 = (
+        [[table[e0][b] * m + table[e1][b ^ 1] for b in (0, 1)] for e0, e1 in pairs]
+        for table in (then, before)
+    )
+    offsets = np.array(pairs, dtype=np.intp) * n_states
+    return maps.reshape(-1).astype(np.intp), then2, before2, offsets
+
+
 def _walk(table: list[list[int]], gens) -> list[int]:
     """The ids e_0, ..., e_n of the running compositions of generator
     sequence ``gens`` through ``table``: e_0 = 0, the identity, and
@@ -324,50 +370,51 @@ def _write_columns(array: TcamArray, row: int, start: int, bits: np.ndarray):
       a cell outside the written columns sees every half pulse.
 
     Branch b's half pulse in column c is generator ``bits[c] ^ b`` of
-    ``_half_closure``, made on the first write of two or more columns
-    and shared by ``blank`` copies.  A forward walk of each branch's
-    generators gives the prefix compositions and a backward walk the
-    suffixes, so n columns cost O(R n + C) gathers, an O(n) walk and no
-    relay model.  One column needs neither: its prefix and suffix are
-    the identity.
+    ``_half_closure``.  Its (branch 0, branch 1) pair form
+    (``_branch_pairs``) is made on the first write of two or more columns
+    and shared by ``blank`` copies: a forward walk of the bits gives both
+    branches' prefix compositions and a backward walk their suffixes, so
+    n columns cost O(R n + C) gathers, an O(n) walk and no relay model.
+    One column needs neither: its prefix and suffix are the identity.
+    Only the per-word work runs here: the flat maps and offsets come
+    from ``_write_maps``, built with the state table, and every gather
+    indexes with intp, the width of ``ids``.
     """
     ids = array.ids
     n, stop = len(bits), start + len(bits)
-    v = array.bias.v_write
-    pulse = array._pulse
-    # (branch, bit) -> map, flattened: a 1 drives fs1 (branch 0) to -V and
-    # fs2 to +V, a 0 the mirror, so the sign is + where branch == bit
-    half = np.concatenate([pulse[0.5 * v], pulse[-0.5 * v],
-                           pulse[-0.5 * v], pulse[0.5 * v]])
-    full = np.concatenate([pulse[v], pulse[-v], pulse[-v], pulse[v]])
-    n_states = len(pulse[v])
-    # (n, 2): the flat offset of the (branch, bit) map of each column
-    pick = (2 * np.arange(2, dtype=np.int32) + bits[:, None]) * n_states
+    half, full, offsets = array._write_maps
+    pick = offsets[bits]  # (n, 2): the flat offset of each column's maps
     own = ids[row, start:stop]
     if n == 1:
         own = full.take(pick + own)
         rest, every = half, pick[0]  # the rest of the row: one half pulse
     else:
+        v = array.bias.v_write
         closure = array._closure.get(v)
         if closure is None:
-            closure = array._closure.setdefault(v, _half_closure(pulse, v))
-        maps, then, before = closure
-        rest = maps.reshape(-1)
-        gens = [(bits ^ branch).tolist() for branch in (0, 1)]
-        # (n + 1, 2): the flat offset of each prefix and suffix map, the
-        # first j columns' half pulses and those of columns j, j + 1, ...
-        prefix = np.array([_walk(then, g) for g in gens], dtype=np.int32)
-        suffix = np.array([_walk(before, g[::-1])[::-1] for g in gens], dtype=np.int32)
-        prefix, suffix = prefix.T * n_states, suffix.T * n_states
+            closure = array._closure.setdefault(
+                v, _branch_pairs(_half_closure(array._pulse, v))
+            )
+        rest, then, before, pairs = closure
+        gens = bits.tolist()
+        # (n + 1, 2): the flat offsets of both branches' prefix maps, the
+        # first j columns' half pulses, and suffix maps, those of columns
+        # j, j + 1, ...
+        prefix = pairs.take(np.array(_walk(then, gens)), axis=0)
+        suffix = pairs.take(np.array(_walk(before, gens[::-1])[::-1]), axis=0)
         own = rest.take(prefix[:-1] + own)
         own = rest.take(suffix[1:] + full.take(pick + own))
         every = prefix[-1]  # all n half pulses, in order
-    # off the row, one gather through column c's half map; it runs over
-    # the whole block and is overwritten on the row
-    ids[:, start:stop] = half.take(ids[:, start:stop] + pick)
+    # off the row, one gather through column c's half map, straight into
+    # ids; it runs over the whole block and is overwritten on the row.
+    # Every index is in range, so "clip" changes nothing; it only keeps
+    # take from buffering ``out``, as "raise" does
+    block = ids[:, start:stop]
+    half.take(block + pick, out=block, mode="clip")
     ids[row, start:stop] = own
     for cells in (ids[row, :start], ids[row, stop:]):
-        cells[:] = rest.take(every + cells)
+        if cells.size:
+            cells[:] = rest.take(every + cells)
 
 
 def write_bit(array: TcamArray, row: int, col: int, value: int) -> TcamArray:
@@ -521,7 +568,7 @@ def search_keys(array: TcamArray, keys, hd: bool) -> SearchResults:
     i_rwl = bias.i_rwl_hd if hd else bias.i_rwl_exact
     n_keys, rows = len(keys), array.rows
     trits = np.frombuffer("".join(k.trits for k in keys).encode(), dtype=np.uint8)
-    weights = _KEY_WEIGHTS.take(trits, axis=1).reshape(2 * n_keys, -1)
+    weights = _KEY_WEIGHTS.take(trits, axis=1).reshape(2 * n_keys, 2 * cols)
     signs = array._negative.take(array.ids).reshape(rows, -1)
     # float64 sums of 0/+-1 products are exact integers below 2**53
     counts = weights @ signs.T

@@ -318,6 +318,21 @@ class TestCliTcam:
             DATA / f"tcam_search_{mode}.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("mode", ["exact", "hd"])
+    def test_wide_search_csv_matches_golden_bytes(self, mode, tmp_path):
+        # tests/data: six seeded 200-bit words, row 2 all ones; the exact
+        # keys hold d trits, from one to all 200 of them
+        code, out = run_cli(
+            ["tcam", "search", "--mode", mode,
+             "--store", str(DATA / "tcam_store_wide.txt"),
+             "--keys", str(DATA / f"tcam_keys_wide_{mode}.txt")],
+            tmp_path,
+        )
+        assert code == 0
+        assert (out / "tcam_search.csv").read_bytes() == (
+            DATA / f"tcam_search_wide_{mode}.csv"
+        ).read_bytes()
+
     def test_calibrate_writes_pair(self, tmp_path):
         code, out = run_cli(["tcam", "calibrate"], tmp_path)
         assert code == 0

@@ -1,6 +1,7 @@
 """TCAM cells and arrays: write scheme, search semantics, energy model."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import pickle
@@ -153,6 +154,17 @@ class TestWriteScheme:
                 store_word(array, row, "11")
         assert pickle.dumps(array) == before
 
+    @pytest.mark.parametrize("row,col", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_reads_check_the_address(self, row, col):
+        array = TcamArray(2, 2)
+        store_word(array, 1, "10")
+        with pytest.raises(UsageError, match="outside"):
+            array.read_bit(row, col)
+        if not 0 <= row < 2:
+            with pytest.raises(UsageError, match="outside"):
+                array.read_word(row)
+        assert array.read_word(1) == "10" and array.read_bit(1, 1) == 0
+
     def test_fe_state_is_a_clone(self):
         array = TcamArray(2, 2)
         store_word(array, 0, "10")
@@ -287,6 +299,52 @@ class TestHalfPulseClosure:
         store_word(array, 2, "0110")
         assert array._closure[v] is closure
         assert build_config({})._template._closure == {}
+
+
+class TestWritePath:
+    """What a write reads is made with the state table, once."""
+
+    def test_ids_are_intp_in_built_arrays_and_blank_copies(self):
+        array = TcamArray(2, 3)
+        store_word(array, 0, "101")
+        write_bit(array, 1, 2, 1)
+        assert array.ids.dtype == np.intp
+        assert array.blank(4, 5).ids.dtype == np.intp
+        assert build_config({}).make_array(2, 2).ids.dtype == np.intp
+
+    def test_blank_copies_share_the_write_constants(self):
+        array = TcamArray(2, 3)
+        copy = array.blank(3, 4)
+        store_word(copy, 0, "0110")
+        assert copy._write_maps is array._write_maps
+
+    def test_writes_make_no_concatenation(self, monkeypatch):
+        array = TcamArray(3, 6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a write concatenated")
+
+        monkeypatch.setattr(np, "concatenate", refuse)
+        store_word(array, 1, "110001")
+        write_bit(array, 2, 4, 1)
+        write_bit(array, 1, 0, 0)
+        assert array.read_word(1) == "010001" and array.read_bit(2, 4) == 1
+
+    def test_seeded_fill_hashes_to_the_recorded_ids(self):
+        # written at a parent whose ids were int32; the hash pins every
+        # device's state id, whatever the width ids are kept in
+        rng = np.random.default_rng(2000)
+        array = TcamArray(8, 2000)
+        for r in range(8):
+            store_word(array, r, "".join(map(str, rng.integers(0, 2, 2000))))
+            for _ in range(3):
+                write_bit(array, int(rng.integers(8)), int(rng.integers(2000)),
+                          int(rng.integers(2)))
+        store_word(array, 3, "".join(map(str, rng.integers(0, 2, 2000))))
+        digest = hashlib.sha256(array.ids.astype(np.int32).tobytes()).hexdigest()
+        assert digest == (
+            "9641b876d41688270ac14321d0a20661a2c6c0ddc6d85f2ba6b3232c530187ec"
+        )
 
 
 class TestExactSearch:
@@ -1104,3 +1162,11 @@ class TestBatchedSearch:
                 }
                 assert result.v_ml == result[0] and result.energy == result[3]
         assert batch.rows(0)[0].v_ml > 0.0 and batch.rows(0)[1].v_ml == 0.0
+
+    @pytest.mark.parametrize("hd", [False, True])
+    def test_no_keys_give_no_results(self, hd):
+        array = TcamArray(3, 4)
+        store_word(array, 0, "0110")
+        batch = tcam.search_keys(array, [], hd)
+        for field in (batch.v_ml, batch.n_match, batch.power, batch.energy):
+            assert field.shape == (0, 3)
