@@ -7,7 +7,8 @@ the output directory; files are written atomically so interrupted runs
 never leave corrupt artifacts.
 
 Exit codes: 0 success, 2 usage, 3 validation failure (an argument too
-large to allocate among them), 4 numeric failure.
+large to allocate, and inputs that put an output past the float range,
+among them), 4 numeric failure (a routine that fails on valid inputs).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -71,11 +73,17 @@ def _atomic_write(path: Path, text: str):
     os.replace(tmp, path)
 
 
+def _not_finite(path: Path) -> ConfigError:
+    return ConfigError(f"{path.name}: an output value is not a finite float")
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     def fmt(x):
         if x is None:
             return ""
         if isinstance(x, float):
+            if not math.isfinite(x):
+                raise _not_finite(path)
             return format(x, ".9g")
         return str(x)
 
@@ -86,7 +94,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> Path:
-    _atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    try:  # RFC 8259 JSON has no Infinity or NaN
+        text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise _not_finite(path) from exc
+    _atomic_write(path, text + "\n")
     return path
 
 
@@ -205,7 +217,8 @@ def cmd_tcam_search(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
         store_word(array, r, word)
     keys = [SearchKey(key) for key in keys]
     res = search_keys(array, keys, hd=args.mode == "hd")
-    scaled = (res.v_ml * 1e3, res.n_match, res.power * 1e9, res.energy * 1e18)
+    with np.errstate(over="ignore"):  # _write_csv refuses what overflows here
+        scaled = (res.v_ml * 1e3, res.n_match, res.power * 1e9, res.energy * 1e18)
     rows = [
         [key.trits, r, *row]
         for key, *columns in zip(keys, *(x.tolist() for x in scaled))

@@ -19,11 +19,12 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import ConfigError, DomainError, UsageError
 from .tcam import (
     BiasConfig,
     invert_ml_voltage_closed_form,
     ml_voltage_closed_form,
+    overflow_problems,
     search_energy,
 )
 
@@ -404,12 +405,16 @@ class BlockPlan:
         indexed by matched-bit count 0..block_size: the Hamming distance
         decoded from the ML voltage (int64) and the search energy in J
         (float64).  Read-only, and made on first use by one evaluation of
-        the closed form, its inverse and the search energy over all counts.
+        the closed form, its inverse and the search energy over all counts;
+        a voltage or energy past the float range raises ConfigError.
         """
         block, bias, i_rwl = self.block_size, self.bias, self.bias.i_rwl_hd
-        v_ml = ml_voltage_closed_form(block, np.arange(block + 1), i_rwl, bias)
+        with np.errstate(over="ignore"):
+            v_ml = ml_voltage_closed_form(block, np.arange(block + 1), i_rwl, bias)
+            energy = search_energy(v_ml, block, i_rwl, bias.t_search)
+        if problems := overflow_problems("HD", block, i_rwl, (v_ml, energy)):
+            raise ConfigError(problems)
         distance = block - invert_ml_voltage_closed_form(v_ml, block, i_rwl, bias)
-        energy = search_energy(v_ml, block, i_rwl, bias.t_search)
         distance.flags.writeable = False
         energy.flags.writeable = False
         return distance, energy
@@ -498,7 +503,8 @@ def energy_sweep(
     The FeSQUID energy depends only on (match fraction, I_RWL), so the
     column is constant across block sizes; the SRAM reference column
     carries the fixed published constant at block size 10, scaled
-    linearly in D, and is absent elsewhere.
+    linearly in D, and is absent elsewhere.  An energy past the float
+    range raises ConfigError.
     """
     if d_bits < 1:
         raise DomainError(f"D must be >= 1, got {d_bits}")
@@ -521,6 +527,8 @@ def energy_sweep(
         v_ml = ml_voltage_closed_form(block, n_match, bias.i_rwl_hd, bias)
         n_blocks = d_bits // block
         energy = n_blocks * search_energy(v_ml, block, bias.i_rwl_hd, bias.t_search)
+        if problems := overflow_problems("HD", d_bits, bias.i_rwl_hd, energy):
+            raise ConfigError(problems)
         sram = (
             SRAM_REF_BLOCK10_10KBIT * (d_bits / 10000.0)
             if block == SRAM_REF_BLOCK_SIZE

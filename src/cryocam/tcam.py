@@ -23,7 +23,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -39,14 +38,6 @@ from .ferroelectric import (
 )
 
 TRITS = ("0", "1", "d")
-
-
-#: Search weights by (part, key byte, branch): part 0 flags the branch a
-#: trit leaves open (fs1 under a 0, fs2 under a 1), part 1 weighs fs1's
-#: stored bit, +1 under a 1 and -1 under a 0; a d trit weighs nothing.
-_KEY_WEIGHTS = np.zeros((2, 256, 2))
-_KEY_WEIGHTS[0, ord("0"), 0] = _KEY_WEIGHTS[0, ord("1"), 1] = 1.0
-_KEY_WEIGHTS[1, ord("0"), 0], _KEY_WEIGHTS[1, ord("1"), 0] = -1.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -102,10 +93,6 @@ class MatchLineResult(NamedTuple):
     energy: float  # J, power times t_search
 
 
-#: MatchLineResult from a 4-tuple, without the generated __new__'s call
-_new_result = partial(tuple.__new__, MatchLineResult)
-
-
 class TcamArray:
     """rows x cols grid of TCAM cells sharing one ML per row.
 
@@ -131,10 +118,15 @@ class TcamArray:
     resistance, the bias currents, the search time and the gate threshold
     all hTron access switches share.  Binding a record checks it against
     every operating rule over the state table's critical currents and the
-    built write voltage; a rejected record raises one ConfigError listing
+    built write voltage, and makes the row tables (``_tables``): each
+    mode's v_ml, power and energy over the count that decides a row
+    (``_row_tables``).  A record whose tables overflow the float range
+    is refused too; a rejected record raises one ConfigError listing
     every violation and leaves the array unchanged, so writes and
-    searches check nothing, and a search reads only each device's
-    remnant sign.  Searches are pure, so they may run concurrently; a
+    searches check nothing.  A search reads only each device's remnant
+    sign, counts, and indexes the tables, with the key weights made for
+    the array's width (``_key_weights``); ``blank`` makes both anew for
+    another width.  Searches are pure, so they may run concurrently; a
     write or a bind needs exclusive access to the whole array (the V/2
     scheme touches an entire row and column).
     """
@@ -164,6 +156,7 @@ class TcamArray:
         # 1.0 per state at negative remnant: under a bound record, all a
         # search reads of a device
         self._negative = (self._remnants < 0.0).astype(np.float64)
+        self._key_weights = _key_weights(cols)
         self._i_c = np.array(
             [critical_current_at(p, self.sc, t_op) for p in self._remnants]
         )
@@ -189,17 +182,26 @@ class TcamArray:
                 f"V_WRITE={bias.v_write} V is not the {self._bias.v_write} V "
                 "the array's state table was built for"
             )
+        tables, overflows = _row_tables(bias, self.cols)
+        problems += overflows
         if problems:
             raise ConfigError(problems)
-        self._bias = bias
+        self._bias, self._tables = bias, tables
 
     def blank(self, rows: int, cols: int) -> TcamArray:
         """A fresh rows x cols array built like this one: it shares the
         devices' parameters, the (read-only) state, sign and write tables,
         the half-pulse closures and the row record, so no Preisach walk
-        runs and no rule is checked again."""
+        runs and no rule is checked again.  Another width makes its own
+        row tables and key weights, and raises ConfigError if the record's
+        search power or energy overflows at that width."""
         _check_shape(rows, cols)
         array = copy.copy(self)
+        if cols != self.cols:
+            array._tables, overflows = _row_tables(self._bias, cols)
+            if overflows:
+                raise ConfigError(overflows)
+            array._key_weights = _key_weights(cols)
         array.rows, array.cols = rows, cols
         array.ids = np.zeros((rows, cols, 2), dtype=np.intp)
         return array
@@ -504,7 +506,11 @@ def operating_problems(bias: BiasConfig, v_c: float, states) -> list[str]:
 
 @dataclass(frozen=True)
 class SearchResults:
-    """Every row's match line under each of K keys, as (K, rows) arrays."""
+    """Every row's match line under each of K keys, as (K, rows) arrays.
+
+    ``v_ml``, ``power`` and ``energy`` are one gather from the array's row
+    table (``_row_tables``) and ``n_match`` a sum of the search's counts,
+    so neither they nor ``rows`` evaluate any float expression."""
 
     v_ml: np.ndarray  # V
     n_match: np.ndarray  # matched-bit count (non-d positions)
@@ -513,17 +519,73 @@ class SearchResults:
 
     def rows(self, k: int) -> list[MatchLineResult]:
         """The row results of key ``k``."""
-        columns = (self.v_ml[k], self.n_match[k], self.power[k], self.energy[k])
-        return list(map(_new_result, zip(*(column.tolist() for column in columns))))
+        rows = zip(
+            self.v_ml[k].tolist(), self.n_match[k].tolist(),
+            self.power[k].tolist(), self.energy[k].tolist(),
+        )
+        # each MatchLineResult from its 4-tuple, without the generated
+        # __new__'s call
+        return list(map(tuple.__new__, itertools.repeat(MatchLineResult), rows))
 
 
 def _row_conductance(n_bits, n_gated, n_low, r_low, r_high, r_gate):
     """Conductance of a row of ``n_bits`` cells whose 2 * n_bits branches
     are ``n_gated`` gate-driven ones (r_gate) and open ones: ``n_low`` of
     them in the low-I_C state (r_low), the rest in the high-I_C state
-    (r_high).  The one row relation that searches, the HD closed form and
-    its inverse share; counts may be arrays of integers."""
+    (r_high).  The one row relation that the row tables, the HD closed
+    form and its inverse share; counts may be arrays of integers."""
     return n_gated / r_gate + n_low / r_low + (2 * n_bits - n_gated - n_low) / r_high
+
+
+def _key_weights(cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Search weights of a ``cols``-bit row, (exact, hd), each a read-only
+    array by (part, key byte, branch).  Part 0 flags the branch a trit
+    leaves open (fs1 under a 0, fs2 under a 1), by 1 in HD mode and by
+    cols + 1 in exact mode, so there one open branch at negative remnant
+    lifts the row's table index past every open count; part 1 weighs
+    fs1's stored bit, +1 under a 1 and -1 under a 0.  A d trit weighs
+    nothing."""
+    weights = np.zeros((2, 2, 256, 2))
+    weights[:, 0, ord("0"), 0] = weights[:, 0, ord("1"), 1] = (cols + 1, 1)
+    weights[:, 1, ord("0"), 0], weights[:, 1, ord("1"), 0] = -1.0, 1.0
+    weights.flags.writeable = False
+    return weights[0], weights[1]
+
+
+def _row_tables(
+    bias: BiasConfig, cols: int
+) -> tuple[tuple[np.ndarray, np.ndarray], list[str]]:
+    """A ``cols``-bit row's match line in each mode under ``bias``, made
+    when a record is bound: ((exact, hd), problems).
+
+    Each table is a read-only (3, cols + 2) float64 array whose rows are
+    v_ml, power and energy, indexed by the count that decides a row (see
+    ``search_keys``): exact mode's by the open branches 0..cols, all
+    conducting at r_fs_exact, HD mode's by the open branches at negative
+    remnant 0..cols, through ``ml_voltage_closed_form``.  The last entry,
+    zeros, is exact mode's shorted row; HD counts never reach it.  Power
+    is cols * I_RWL * v_ml and energy ``search_energy``, so every entry
+    is the one IEEE expression for its count.  ``problems`` names each
+    mode whose table holds a value past the float range."""
+    n = np.arange(cols + 1)
+    r_fs = bias.r_fs_exact
+    currents = (bias.i_rwl_exact, bias.i_rwl_hd)
+    tables = np.zeros((2, 3, cols + 2))
+    v_ml = tables[:, 0]
+    i_rwl = np.array(currents)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_open = _row_conductance(cols, 2 * cols - n, n, r_fs, r_fs, bias.r_gate)
+        v_ml[0, :-1] = (cols * bias.i_rwl_exact) / g_open
+        v_ml[1, :-1] = ml_voltage_closed_form(cols, n[::-1], bias.i_rwl_hd, bias)
+        tables[:, 1] = cols * i_rwl * v_ml
+        tables[:, 2] = search_energy(v_ml, cols, i_rwl, bias.t_search)
+    problems = [
+        problem
+        for mode, i, table in zip(("exact", "HD"), currents, tables)
+        for problem in overflow_problems(mode, cols, i, table)
+    ]
+    tables.flags.writeable = False
+    return (tables[0], tables[1]), problems
 
 
 def search_keys(array: TcamArray, keys, hd: bool) -> SearchResults:
@@ -546,58 +608,48 @@ def search_keys(array: TcamArray, keys, hd: bool) -> SearchResults:
     ``n_match`` alone counts stored bits: the non-d trits equal to the
     bit fs1 holds.
 
-    The rows' signs come from one gather of the array's sign table, an
-    (R, 2C) 0/1 matrix, and the keys' weights from one lookup of their
-    bytes, a (2K, 2C) matrix: K rows of open-branch flags, then K rows
-    that weigh fs1 by +1 under a 1 and -1 under a 0.  One product of the
-    two gives every count; ``_row_conductance`` and ``search_energy``
-    turn them into the (K, rows) record.
+    Only per-search work runs here.  The rows' signs come from one
+    gather of the array's sign table, an (R, 2C) 0/1 matrix, and the
+    keys' weights from one lookup of their bytes in the array's key
+    weights (``_key_weights``), a (2K, 2C) matrix: K rows that flag each
+    open branch, then K rows that weigh fs1 by +1 under a 1 and -1 under
+    a 0.  One product of the two, plus per-key offsets, gives every
+    ``n_match`` and one integer index per key and row into the mode's
+    row table, made when the record was bound (``_row_tables``), whose
+    one gather gives each row's v_ml, power and energy.  In HD mode the
+    index is the negative-remnant count.  In exact mode a flag weighs
+    cols + 1, so the index is the key's open branches when none of them
+    is at negative remnant and lies past them otherwise, which take's
+    "clip" reads as the table's last entry, a shorted row's zeros.
     """
     cols = array.cols
-    zeros, n_open = [], []
+    words, zeros, n_open = [], [], []
     for key in keys:
-        if len(key) != cols:
-            raise UsageError(f"key length {len(key)} != array width {cols}")
+        trits = key.trits
+        if len(trits) != cols:
+            raise UsageError(f"key length {len(trits)} != array width {cols}")
         if hd and key.has_dont_care:
             raise UnsupportedModeError(
                 "HD mode does not support don't-care trits; use exact mode"
             )
-        zeros.append(key.trits.count("0"))
-        n_open.append(zeros[-1] + key.trits.count("1"))
-    bias = array.bias
-    i_rwl = bias.i_rwl_hd if hd else bias.i_rwl_exact
+        words.append(trits)
+        zeros.append(trits.count("0"))
+        n_open.append(zeros[-1] + trits.count("1"))
     n_keys, rows = len(keys), array.rows
-    trits = np.frombuffer("".join(k.trits for k in keys).encode(), dtype=np.uint8)
-    weights = _KEY_WEIGHTS.take(trits, axis=1).reshape(2 * n_keys, 2 * cols)
+    trits = np.frombuffer("".join(words).encode(), dtype=np.uint8)
+    weights = array._key_weights[hd].take(trits, axis=1)
     signs = array._negative.take(array.ids).reshape(rows, -1)
-    # float64 sums of 0/+-1 products are exact integers below 2**53
-    counts = weights @ signs.T
-    n_negative = counts[:n_keys]
-    n_match = counts[n_keys:] + np.array(zeros)[:, None]
-
-    total_i = cols * i_rwl
-    if hd:
-        g = _row_conductance(
-            cols, cols, cols - n_negative, bias.r_match, bias.r_mismatch,
-            bias.r_gate,
-        )
-        v_ml = total_i / g
-    else:
-        # every open branch conducts at r_fs_exact unless the row shorts
-        v_open = [
-            total_i / _row_conductance(
-                cols, 2 * cols - n, n, bias.r_fs_exact, bias.r_fs_exact,
-                bias.r_gate,
-            )
-            for n in n_open
-        ]
-        v_ml = np.where(n_negative > 0.0, 0.0, np.array(v_open)[:, None])
-    return SearchResults(
-        v_ml,
-        n_match.astype(np.int64),
-        total_i * v_ml,
-        search_energy(v_ml, cols, i_rwl, bias.t_search),
+    # float64 sums of products of small integers are exact below 2**53
+    offsets = [0] * n_keys if hd else n_open
+    counts = np.add(
+        weights.reshape(2 * n_keys, 2 * cols) @ signs.T,
+        np.array(offsets + zeros)[:, None],
+        dtype=np.int64,
+        casting="unsafe",
     )
+    index, n_match = counts[:n_keys], counts[n_keys:]
+    entries = array._tables[hd].take(index, axis=1, mode="clip")
+    return SearchResults(entries[0], n_match, entries[1], entries[2])
 
 
 def search_exact(array: TcamArray, key: SearchKey) -> list[MatchLineResult]:
@@ -671,6 +723,21 @@ def search_energy(
     giving an array of energies.
     """
     return n_bits * i_rwl_per_bit * v_ml * t_search
+
+
+def overflow_problems(
+    mode: str, n_bits: int, i_rwl_per_bit: float, values
+) -> list[str]:
+    """The one rule that a search's match-line voltages, powers and
+    energies (``values``) be finite floats: [] when they are, else the
+    message naming ``mode``, the ``n_bits`` searched and the current
+    that put them past the float range."""
+    if np.isfinite(values).all():
+        return []
+    return [
+        f"{mode} mode search power or energy of {n_bits} bits overflows "
+        f"the float range at I_RWL={i_rwl_per_bit:.4g} A per cell"
+    ]
 
 
 def invert_energy_targets(

@@ -8,6 +8,7 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,24 @@ class TestCliTcam:
             DATA / f"tcam_search_wide_{mode}.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("mode", ["exact", "hd"])
+    def test_record_search_csv_matches_golden_bytes(self, mode, tmp_path):
+        # the store of test_search_csv_matches_golden_bytes under a row
+        # record other than the default, whose outputs differ from the
+        # default goldens: a search must read the record it was bound to
+        code, out = run_cli(
+            ["--set", "i_rwl_exact_uA=3.0", "--set", "i_rwl_hd_uA=6",
+             "--set", "r_low_state_ohm=2000", "--set", "ht_r_off_kohm=40",
+             "tcam", "search", "--mode", mode,
+             "--store", str(DATA / "tcam_store.txt"),
+             "--keys", str(DATA / f"tcam_keys_{mode}.txt")],
+            tmp_path,
+        )
+        assert code == 0
+        written = (out / "tcam_search.csv").read_bytes()
+        assert written == (DATA / f"tcam_search_record_{mode}.csv").read_bytes()
+        assert written != (DATA / f"tcam_search_{mode}.csv").read_bytes()
+
     def test_calibrate_writes_pair(self, tmp_path):
         code, out = run_cli(["tcam", "calibrate"], tmp_path)
         assert code == 0
@@ -651,6 +670,70 @@ class TestCliErrors:
         (message,) = error_payload(capsys)["messages"]
         assert message.startswith("HD mode requires r_match > r_mismatch")
         assert not out.exists()
+
+    # I_RWL,hd = 3.2e152 A puts the HD-mode power and energy past the float
+    # range; the runs once exited 0 with RuntimeWarnings and wrote inf or,
+    # in JSON, Infinity, which RFC 8259 does not allow
+    OVERFLOW = ["--set", "i_rwl_hd_uA=3.2e158"]
+
+    def _refused(self, argv, tmp_path, capsys) -> list[str]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(argv, tmp_path)
+        assert code == 3
+        payload = error_payload(capsys)
+        assert payload["error_category"] == "validation"
+        assert not out.exists()
+        return payload["messages"]
+
+    def test_overflowing_search_exits_3(self, tmp_path, capsys):
+        messages = self._refused(
+            [*self.OVERFLOW, "tcam", "search", "--mode", "hd",
+             "--store", str(DATA / "tcam_store.txt"),
+             "--keys", str(DATA / "tcam_keys_hd.txt")],
+            tmp_path, capsys,
+        )
+        assert messages == [
+            "HD mode search power or energy of 16 bits overflows the float "
+            "range at I_RWL=3.2e+152 A per cell"
+        ]
+
+    def test_search_whose_units_overflow_exits_3(self, tmp_path, capsys):
+        # finite in SI, past the float range in nW and aJ
+        messages = self._refused(
+            ["--set", "i_rwl_hd_uA=1e154", "tcam", "search", "--mode", "hd",
+             "--store", str(DATA / "tcam_store.txt"),
+             "--keys", str(DATA / "tcam_keys_hd.txt")],
+            tmp_path, capsys,
+        )
+        assert messages == ["tcam_search.csv: an output value is not a finite float"]
+
+    def test_overflowing_sweep_exits_3(self, tmp_path, capsys):
+        (message,) = self._refused(
+            [*self.OVERFLOW, "hdc", "sweep", "--d", "1000", "--block", "10"],
+            tmp_path, capsys,
+        )
+        assert message.startswith("HD mode search power or energy of 1000 bits")
+
+    def test_overflowing_infer_exits_3(self, model_and_text, tmp_path, capsys):
+        model, text = model_and_text
+        (message,) = self._refused(
+            [*self.OVERFLOW, "--set", "hdc_block_size=16", "hdc", "infer",
+             "--model", str(model), "--text", str(text)],
+            tmp_path, capsys,
+        )
+        assert message.startswith("HD mode search power or energy of 16 bits")
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_artifacts_hold_only_finite_floats(self, bad, tmp_path):
+        for write, args in [
+            (cli._write_json, ({"energies_J": {"lang00": bad}},)),
+            (cli._write_csv, (["energy_aJ"], [[1.0], [bad]])),
+        ]:
+            path = tmp_path / "out" / "artifact"
+            with pytest.raises(ConfigError, match="not a finite float"):
+                write(path, *args)
+            assert not path.parent.exists()
 
     def test_block_wider_than_the_model_exits_3(
         self, model_and_text, tmp_path, capsys

@@ -3,6 +3,7 @@
 import json
 import tempfile
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from cryocam import cli, hdc
 
 from cryocam.config import build_config
-from cryocam.errors import DomainError, UsageError
+from cryocam.errors import ConfigError, DomainError, UsageError
 from cryocam.hdc import (
     BlockPlan,
     HdcModel,
@@ -332,6 +333,14 @@ class TestEnergySweep:
             energy_sweep(10000, [3], 0.5)
         with pytest.raises(DomainError):
             energy_sweep(10000, [10], 0.03)
+
+    def test_overflowing_energy_rejected(self):
+        # the sweep once returned inf energies
+        bias = BiasConfig(i_rwl_hd=3.2e152)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="of 10000 bits overflows"):
+                energy_sweep(10000, [10], 0.5, bias)
 
     @pytest.mark.parametrize("d_bits", [0, -10000])
     def test_dimension_below_one_rejected(self, d_bits):
@@ -1063,6 +1072,16 @@ class TestArrayRowRelation:
             assert type(v) is float and type(n) is int
             assert (v, n) == (v_ml[m], decoded[m])
             assert search_energy(v, block, i_rwl, t_search) == energy[m]
+
+    def test_overflowing_tables_rejected(self, model):
+        # the plan's energy table once held inf, and infer_tcam's per-class
+        # energies with it
+        plan = BlockPlan(block_size=100, bias=BiasConfig(i_rwl_hd=3.2e152))
+        q = model.class_vectors[model.labels[0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="of 100 bits overflows"):
+                infer_tcam(model, q, plan)
 
     def test_block_wider_than_the_vector_rejected(self, model):
         q = model.class_vectors[model.labels[0]]

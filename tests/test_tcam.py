@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -734,6 +735,172 @@ class TestSearchPurity:
         for key in ("0110", "1001", "0000"):
             search_hd(array, SearchKey(key))
         assert pickle.dumps(array) == before
+
+    @staticmethod
+    def _stored(rows, cols, seed):
+        array = TcamArray(rows, cols)
+        rng = np.random.default_rng(seed)
+        for r in range(rows - 1):  # the last row stays unwritten
+            store_word(array, r, "".join(map(str, rng.integers(0, 2, cols))))
+        return array, rng
+
+    @pytest.mark.parametrize("hd", [False, True])
+    @pytest.mark.parametrize("n_keys", [0, 1, 5])
+    def test_batches_change_no_state(self, hd, n_keys):
+        array, rng = self._stored(4, 6, 5)
+        keys = [
+            SearchKey("".join(rng.choice(list("01" if hd else "01d"), 6)))
+            for _ in range(n_keys)
+        ]
+        before = pickle.dumps(array)
+        for _ in range(2):
+            batch = tcam.search_keys(array, keys, hd)
+            assert batch.v_ml.shape == (n_keys, 4)
+            assert pickle.dumps(array) == before
+
+    def test_searches_of_a_blank_copy_change_neither_array(self):
+        array, _ = self._stored(3, 4, 6)
+        before = pickle.dumps(array)
+        copy = array.blank(2, 7)
+        store_word(copy, 0, "0110101")
+        copied = pickle.dumps(copy)
+        for key in ("0110101", "1d0dd11", "ddddddd"):
+            search_exact(copy, SearchKey(key))
+        search_hd(copy, SearchKey("0110100"))
+        search_exact(array, SearchKey("0110"))
+        assert pickle.dumps(copy) == copied
+        assert pickle.dumps(array) == before
+
+    def test_searches_of_a_rebound_array_change_no_state(self):
+        array, _ = self._stored(3, 5, 7)
+        calibrate_exact_bias(array, BINARY_TARGET, TERNARY_TARGET)
+        before = pickle.dumps(array)
+        for key in ("01101", "1d0d1", "ddddd"):
+            search_exact(array, SearchKey(key))
+        search_hd(array, SearchKey("01100"))
+        assert pickle.dumps(array) == before
+
+    @pytest.mark.parametrize("hd", [False, True])
+    def test_rebound_array_searches_like_one_built_with_the_record(self, hd):
+        # the row tables follow a bind: a calibrated array searches as
+        # one built with the calibrated record, to the bit
+        array, rng = self._stored(4, 8, 8)
+        keys = [SearchKey(array.read_word(0))] + [
+            SearchKey("".join(rng.choice(list("01" if hd else "01d"), 8)))
+            for _ in range(6)
+        ]
+        before = tcam.search_keys(array, keys, hd)
+        calibrate_exact_bias(array, 1.2 * BINARY_TARGET, 1.2 * TERNARY_TARGET)
+        fresh = TcamArray(4, 8, bias=array.bias)
+        fresh.ids[:] = array.ids
+        after, want = (tcam.search_keys(a, keys, hd) for a in (array, fresh))
+        for k in range(len(keys)):
+            assert repr(after.rows(k)) == repr(want.rows(k))
+        if not hd:  # exact mode's current changed, and with it the energies
+            assert after.energy[0, 0] != before.energy[0, 0]
+
+
+class TestPerSearchWork:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The number of row-relation evaluations ``tcam`` makes from here
+        on, by function name."""
+        made = {"_row_conductance": 0, "search_energy": 0}
+
+        def counted(name):
+            original = getattr(tcam, name)
+
+            def call(*args, **kwargs):
+                made[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in made:
+            monkeypatch.setattr(tcam, name, counted(name))
+        return made
+
+    def test_searches_evaluate_no_row_relation(self, calls):
+        array = TcamArray(3, 6)
+        bound = dict(calls)
+        assert 0 < bound["_row_conductance"] <= 2  # one per mode
+        assert 0 < bound["search_energy"] <= 2
+        array.blank(5, 6)  # the same width shares the tables
+        assert calls == bound
+        copy = array.blank(4, 9)
+        for name, n in calls.items():
+            assert n - bound[name] <= 2
+        bound = dict(calls)
+        rng = np.random.default_rng(9)
+        for target in (array, copy):
+            store_word(target, 0, "".join(map(str, rng.integers(0, 2, target.cols))))
+            for _ in range(100):
+                word = "".join(map(str, rng.integers(0, 2, target.cols)))
+                search_exact(target, SearchKey(word))
+                search_hd(target, SearchKey(word))
+        assert calls == bound
+
+
+class TestRowTables:
+    @pytest.mark.parametrize(
+        "bias",
+        [BiasConfig(), BiasConfig(i_rwl_exact=3.0e-6, i_rwl_hd=6e-6,
+                                  r_match=2000.0, r_gate=40e3)],
+        ids=["default", "second-record"],
+    )
+    def test_entries_equal_each_counts_scalar_evaluation(self, bias):
+        # each entry is the expression a row's own scalar evaluation
+        # gives, to the bit
+        for cols in (1, 2, 7, 48, 200):
+            exact, hd = tcam._row_tables(bias, cols)[0]
+            assert exact.shape == hd.shape == (3, cols + 2)
+            assert exact[:, -1].tolist() == [0.0, 0.0, 0.0]  # a shorted row
+            for table, i_rwl, v_of in (
+                (exact, bias.i_rwl_exact, lambda n: cols * bias.i_rwl_exact / (
+                    (2 * cols - n) / bias.r_gate + n / bias.r_fs_exact
+                    + 0 / bias.r_fs_exact)),
+                (hd, bias.i_rwl_hd, lambda n: ml_voltage_closed_form(
+                    cols, cols - n, bias.i_rwl_hd, bias)),
+            ):
+                for n in range(cols + 1):
+                    v = v_of(n)
+                    want = [v, cols * i_rwl * v,
+                            search_energy(v, cols, i_rwl, bias.t_search)]
+                    assert table[:, n].tolist() == want, (cols, n)
+
+
+class TestRowTableOverflow:
+    # a current whose HD-mode power or energy passes the float range at
+    # 16 bits: the CLI once wrote inf into tcam_search.csv
+    I_RWL_HD = 3.2e152  # A
+
+    def test_binding_refuses_an_overflowing_record(self):
+        array = TcamArray(2, 16)
+        good = array.bias
+        before = search_hd(array, SearchKey("0" * 16))
+        bad = dataclasses.replace(good, i_rwl_hd=self.I_RWL_HD)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as exc:
+                array.bias = bad
+        (message,) = exc.value.violations
+        assert message.startswith("HD mode search power or energy of 16 bits")
+        assert array.bias is good
+        assert search_hd(array, SearchKey("0" * 16)) == before
+
+    def test_a_wider_blank_copy_is_refused(self):
+        # the record binds at 1 bit and overflows at 16
+        narrow = TcamArray(1, 1, bias=BiasConfig(i_rwl_hd=self.I_RWL_HD))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="16 bits overflows"):
+                narrow.blank(2, 16)
+        assert narrow.blank(3, 1).cols == 1
+
+    def test_every_table_entry_is_finite_at_the_defaults(self):
+        for table in TcamArray(1, 10000)._tables:
+            assert np.isfinite(table).all()
+            assert not table.flags.writeable
 
 
 class TestSearchKeyAndTiming:
