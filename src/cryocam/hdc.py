@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,6 +42,8 @@ _SYMBOL_BITS = 5
 _KEY_SYMBOLS = 3
 #: Rows summed in uint8 at once: 255 ones fit, 256 wrap to 0.
 _MAX_RUN = 255
+#: Bits of a float64 significand, so every integer below 2**53 is exact.
+_SIGNIFICAND_BITS = 53
 
 #: Fixed SRAM-TCAM reference energy per 10,000-bit comparison at block
 #: size 10, used only as a report column.
@@ -382,6 +385,36 @@ def infer_exact(model: HdcModel, query: np.ndarray) -> tuple[str, dict]:
     return best, dict(zip(model.labels, distances.tolist()))
 
 
+def _split_limbs(values: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive finite floats ``values`` as exact integer limbs, any
+    ``n_blocks`` of which sum without rounding: a float64 (limbs, entries)
+    array and the power of two that scales each limb row, so that
+    ``values[i]`` is exactly ``sum(limbs[k, i] * scales[k])``.
+
+    Every value is an integer on one grid 2**e, where e is the smallest
+    ulp exponent of the values and never below -1074 (a subnormal's
+    ulp).  That integer is cut into W-bit limbs, W = 53 -
+    bit_length(n_blocks).  A sum of at most ``n_blocks`` entries of one
+    limb row is then an integer below n_blocks * 2**W < 2**53, so it is
+    exact in any order."""
+    width = _SIGNIFICAND_BITS - int(n_blocks).bit_length()
+    frac, exp = np.frexp(values)
+    significand = np.ldexp(frac, _SIGNIFICAND_BITS).astype(np.uint64)
+    # grid position of each significand's last bit; only a subnormal's is
+    # below the grid, and its significand then ends in that many zeros
+    shift = exp.astype(np.int64) - _SIGNIFICAND_BITS
+    e = max(int(shift.min()), -1074)
+    shift -= e
+    n_limbs = -(-int(shift.max() + _SIGNIFICAND_BITS) // width)
+    # bit of each significand at each limb's base; a shift of 63 clears a
+    # significand of 53 bits, and the mask clears what lands past W bits
+    base = width * np.arange(n_limbs)[:, None] - shift
+    right = np.clip(base, 0, 63).astype(np.uint64)
+    left = np.clip(-base, 0, 63).astype(np.uint64)
+    bits = ((significand >> right) << left) & np.uint64((1 << width) - 1)
+    return bits.astype(np.float64), np.ldexp(1.0, e + width * np.arange(n_limbs))
+
+
 @dataclass(frozen=True)
 class BlockPlan:
     """How a long vector is cut into TCAM row segments, and the row record
@@ -394,6 +427,9 @@ class BlockPlan:
 
     block_size: int = 100
     bias: BiasConfig = BiasConfig()
+    _sum_tables: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.block_size < 1:
@@ -419,6 +455,30 @@ class BlockPlan:
         energy.flags.writeable = False
         return distance, energy
 
+    def sum_table(self, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+        """What ``infer_tcam`` sums over a row of ``n_blocks`` blocks: a
+        read-only float64 (1 + limbs, block_size + 1) table indexed by
+        mismatched count, whose row 0 is ``block_tables``' decoded distance
+        and whose other rows are its energies split by ``_split_limbs``,
+        and the read-only power of two of each limb row.  Made from the
+        kept tables on the first request for ``n_blocks`` and kept for
+        later ones.  A plan whose energies could sum past the float range
+        over ``n_blocks`` blocks raises ConfigError."""
+        tables = self._sum_tables.get(n_blocks)
+        if tables is None:
+            distance, energy = self.block_tables
+            # with no sum past the range, no limb term is past it either
+            bound = n_blocks * float(energy.max())
+            n_bits, i_rwl = n_blocks * self.block_size, self.bias.i_rwl_hd
+            if problems := overflow_problems("HD", n_bits, i_rwl, bound):
+                raise ConfigError(problems)
+            limbs, scales = _split_limbs(energy[::-1], n_blocks)
+            table = np.vstack([distance[::-1], limbs])
+            table.flags.writeable = False
+            scales.flags.writeable = False
+            tables = self._sum_tables.setdefault(n_blocks, (table, scales))
+        return tables
+
 
 def infer_tcam(
     model: HdcModel, query: np.ndarray, plan: BlockPlan
@@ -427,29 +487,40 @@ def infer_tcam(
 
     Every block of every class row is evaluated through the HD-mode ML
     voltage, the voltage is decoded back to a matched-bit count, and the
-    decoded counts accumulate into per-class Hamming distances.  Returns
+    decoded counts add up to per-class Hamming distances.  Returns
     (label, per-class HD, per-class energy in J).  ``query`` holds D
     bits, each 0 or 1, in any bool, integer or float dtype; it is packed
     as uint8, so any other value is outside the contract.  A plan whose
     block is wider than D raises ``UsageError`` before any work.
 
     The per-block mismatch counts of all classes come from
-    ``_mismatches``.  They index the plan's ``block_tables`` through
-    reversed views, since the tables are indexed by matched count,
-    block - mismatches.  Each class's block energies add in block order,
-    so every value equals the block-by-block scalar evaluation to the
-    last bit.
+    ``_mismatches`` and read the plan's ``sum_table``: the decoded
+    distance and the energy limbs of each count.  For many short blocks,
+    one ``np.bincount`` gives each class's histogram of counts, and one
+    product with the table sums it; for few wide blocks, each block's
+    table column is gathered and summed.  Either way every sum is an
+    exact integer below 2**53, so both layouts and every order agree.
+    Each class's energy is the ``math.fsum`` of its limb sums times their
+    powers of two: the correctly rounded sum of its block energies.
     """
-    # cast once, not inside each take
-    index = _mismatches(model, query, plan.block_size).astype(np.intp)
-    distance, energy = plan.block_tables
-    hd = distance[::-1].take(index).sum(axis=1)
-    energies = np.add.accumulate(energy[::-1].take(index), axis=1)[:, -1]
-    best = model.labels[int(np.argmin(hd))]
+    counts = _mismatches(model, query, plan.block_size)
+    classes, n_blocks = counts.shape
+    bins = plan.block_size + 1
+    table, scales = plan.sum_table(n_blocks)
+    if bins <= n_blocks:  # a histogram no longer than a row of counts
+        # keys in the narrowest dtype that holds them; bincount widens them
+        key = np.min_scalar_type(classes * bins - 1)
+        keys = counts + np.arange(0, classes * bins, bins, dtype=key)[:, None]
+        hist = np.bincount(keys.ravel(), minlength=classes * bins)
+        sums = hist.reshape(classes, bins).astype(np.float64) @ table.T
+    else:
+        sums = table.take(counts.astype(np.intp), axis=1).sum(axis=2).T
+    hd = sums[:, 0].astype(np.int64).tolist()
+    energies = map(math.fsum, (sums[:, 1:] * scales).tolist())
     return (
-        best,
-        dict(zip(model.labels, hd.tolist())),
-        dict(zip(model.labels, energies.tolist())),
+        model.labels[hd.index(min(hd))],
+        dict(zip(model.labels, hd)),
+        dict(zip(model.labels, energies)),
     )
 
 

@@ -234,6 +234,7 @@ class TestConfigRoutes:
 
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -496,6 +497,22 @@ class TestCliHdc:
         payload = json.loads((out2 / "hdc_infer.json").read_text())
         assert payload["label"] == "lang01"
         assert set(payload["distances"]) == {"lang00", "lang01", "lang02"}
+
+    @pytest.mark.parametrize("block", [7, 100, 10000])
+    def test_infer_json_matches_golden_bytes(self, block, tmp_path):
+        # tests/data/golden: a three-class model at the default D = 10,000
+        # and one query text; 7 pads the last block, 10,000 is one block.
+        # hdc_infer.json holds none of the run manifest's wall_time_s, utc
+        # or paths, so nothing is stripped before the comparison
+        code, out = run_cli(
+            ["--set", f"hdc_block_size={block}", "hdc", "infer",
+             "--model", str(GOLDEN / "hdc_model.json"),
+             "--text", str(GOLDEN / "hdc_query.txt")],
+            tmp_path,
+        )
+        assert code == 0
+        written = (out / "hdc_infer.json").read_bytes()
+        assert written == (GOLDEN / f"hdc_infer_b{block}.json").read_bytes()
 
     def test_infer_exact_engine_matches_infer_exact(self, model_and_text, tmp_path):
         model, text = model_and_text

@@ -1,10 +1,12 @@
 """HDC encoding, training, TCAM-backed inference, energy rollup."""
 
 import json
+import math
 import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -441,7 +443,8 @@ def _encode_text_ref(text, item, n_gram):
 
 def _infer_tcam_ref(model, query, plan):
     """Scalar reference: the closed form, its inverse and the energy once
-    per (class, block), with each class's energy summed block by block."""
+    per (class, block), with each class's block energies summed by
+    ``math.fsum``, correctly rounded."""
     block, bias = plan.block_size, plan.bias
     pad = np.zeros(-model.d % block, dtype=np.uint8)
     q = np.concatenate([query, pad])
@@ -450,15 +453,15 @@ def _infer_tcam_ref(model, query, plan):
     for label in model.labels:
         row = np.concatenate([model.class_vectors[label], pad])
         hd = 0
-        energy = 0.0
+        energy = []
         for lo in range(0, q.size, block):
             n_match = block - hamming(row[lo : lo + block], q[lo : lo + block])
             v_ml = ml_voltage_closed_form(block, n_match, bias.i_rwl_hd, bias)
             decoded = invert_ml_voltage_closed_form(v_ml, block, bias.i_rwl_hd, bias)
             hd += block - decoded
-            energy += search_energy(v_ml, block, bias.i_rwl_hd, bias.t_search)
+            energy.append(search_energy(v_ml, block, bias.i_rwl_hd, bias.t_search))
         distances[label] = hd
-        energies[label] = energy
+        energies[label] = math.fsum(energy)
     best = min(model.labels, key=lambda lb: (distances[lb], model.labels.index(lb)))
     return best, distances, energies
 
@@ -1091,3 +1094,135 @@ class TestArrayRowRelation:
         assert "block_tables" not in vars(plan)  # no table was built
         whole = BlockPlan(block_size=D)  # one block spanning the vector is fine
         assert infer_tcam(model, q, whole)[1] == infer_exact(model, q)[1]
+
+
+#: Block sizes of the correctly rounded sums: the first three count a
+#: histogram per class, the others gather each block's table column.
+_SUM_BLOCKS = (1, 7, 10, 100, 333, 1000)
+
+
+@st.composite
+def _model_query_sum_block(draw):
+    """A model of 1-4 random classes at D in [1000, 1300], a query that is
+    random, equal to a class or its complement, and a block size from
+    ``_SUM_BLOCKS`` or D."""
+    d = draw(st.integers(1000, 1300))
+    block = draw(st.sampled_from([*_SUM_BLOCKS, d]))
+    labels = tuple(f"c{i}" for i in range(draw(st.integers(1, 4))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, 2, (len(labels), d), dtype=np.uint8)
+    query = draw(
+        st.sampled_from(
+            [rng.integers(0, 2, d, dtype=np.uint8), rows[0].copy(), 1 - rows[-1]]
+        )
+    )
+    m = HdcModel(
+        labels=labels, class_vectors=dict(zip(labels, rows)), d=d, n_gram=3, seed=0
+    )
+    return m, query, block
+
+
+class TestCorrectlyRoundedEnergies:
+    """Each class's energy is the correctly rounded sum of its block
+    energies, whatever the layout that adds them."""
+
+    @settings(max_examples=100)
+    @given(case=_model_query_sum_block())
+    def test_energies_are_fsums_of_block_entries(self, case):
+        m, q, block = case
+        plan = BlockPlan(block_size=block)
+        _, distances, energies = infer_tcam(m, q, plan)
+        energy = plan.block_tables[1]
+        pad = np.zeros(-m.d % block, dtype=bool)
+        for label in m.labels:
+            differ = np.concatenate([m.class_vectors[label] != q, pad])
+            matched = block - differ.reshape(-1, block).sum(axis=1)
+            assert energies[label] == math.fsum(energy[matched].tolist())
+            assert distances[label] == hamming(m.class_vectors[label], q)
+
+    @pytest.mark.parametrize(
+        ("block", "fraction"),
+        [(1, 0.0), (1, 1.0), (10, 0.5), (10, 1.0), (100, 0.5), (100, 1.0),
+         (1000, 0.5), (1000, 1.0)],
+    )
+    def test_uniform_counts_equal_energy_sweep(self, block, fraction):
+        # the half-match block-10 case once read 8.789062499999973e-14 J
+        # here, against the sweep's 8.789062500000001e-14 J
+        d = 10000
+        row = np.zeros((d // block, block), dtype=np.uint8)
+        row[:, round(fraction * block):] = 1  # the query is all zeros
+        m = HdcModel(
+            labels=("r",), class_vectors={"r": row.ravel()}, d=d, n_gram=3, seed=0
+        )
+        _, _, energies = infer_tcam(m, np.zeros(d, dtype=np.uint8), BlockPlan(block))
+        swept = energy_sweep(d, [block], fraction)[0]["energy_J_fesquid"]
+        assert repr(energies["r"]) == repr(swept)
+
+    @pytest.mark.parametrize("bits", [1, 13, 30, 51])
+    def test_limb_split_at_the_widest_row_of_its_width(self, bits):
+        # 2**bits - 1 blocks is the most that limbs of 53 - bits bits admit;
+        # one block more takes a bit less
+        n_blocks = 2**bits - 1
+        width = 53 - bits
+        values = np.array(
+            [*BlockPlan(10).block_tables[1], 5e-324, 2.5e-310, 1.0, 3.0,
+             1.7976931348623157e308]
+        )
+        limbs, scales = hdc._split_limbs(values, n_blocks)
+        assert np.array_equal(limbs, np.trunc(limbs))
+        assert limbs.min() >= 0 and limbs.max() <= 2**width - 1
+        assert n_blocks * (2**width - 1) < 2**53
+        assert scales[0] == 5e-324  # the ulp of the smallest subnormal
+        assert np.array_equal(scales[1:], np.ldexp(scales[:-1], width))
+        for value, column in zip(values, limbs.T):
+            exact = sum(Fraction(x) * Fraction(s) for x, s in zip(column, scales))
+            assert exact == Fraction(value)
+        narrower, _ = hdc._split_limbs(values, n_blocks + 1)
+        assert narrower.max() <= 2 ** (width - 1) - 1
+
+    @pytest.mark.parametrize("d", [2**14 - 1, 2**14])
+    def test_widest_row_of_a_limb_width_sums_exactly(self, d):
+        # block 1 at 16,383 bits is the widest row of 39-bit limbs, whose
+        # limb sums come closest to 2**53; 16,384 takes 38-bit limbs
+        m = HdcModel(
+            labels=("zero", "one"),
+            class_vectors={"zero": np.zeros(d, np.uint8), "one": np.ones(d, np.uint8)},
+            d=d,
+            n_gram=3,
+            seed=0,
+        )
+        _, _, energies = infer_tcam(m, np.zeros(d, dtype=np.uint8), BlockPlan(1))
+        for label, fraction in (("zero", 1.0), ("one", 0.0)):
+            swept = energy_sweep(d, [1], fraction)[0]["energy_J_fesquid"]
+            assert repr(energies[label]) == repr(swept)
+
+    def test_sum_table_is_built_once_per_row_length(self, model):
+        plan = BlockPlan(block_size=100)
+        q = model.class_vectors[model.labels[0]]
+        first = infer_tcam(model, q, plan)
+        table, scales = plan.sum_table(11)  # D = 1024 in blocks of 100
+        assert plan.sum_table(11)[0] is table
+        assert not table.flags.writeable and not scales.flags.writeable
+        distance, energy = plan.block_tables
+        assert np.array_equal(table[0], distance[::-1])
+        rebuilt = [math.fsum(col) for col in (table[1:].T * scales).tolist()]
+        assert rebuilt == energy[::-1].tolist()
+        assert repr(infer_tcam(model, q, plan)) == repr(first)
+        assert list(plan._sum_tables) == [11]
+
+    def test_sum_past_the_float_range_rejected(self):
+        # each block's energy is finite, but 32 of them once summed to inf
+        plan = BlockPlan(block_size=16, bias=BiasConfig(i_rwl_hd=5e151, t_search=0.3))
+        assert np.isfinite(plan.block_tables[1]).all()
+        rng = np.random.default_rng(18)
+        for d, refused in ((128, False), (512, True)):
+            row = rng.integers(0, 2, d, dtype=np.uint8)
+            m = HdcModel(labels=("a",), class_vectors={"a": row}, d=d, n_gram=3, seed=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if refused:
+                    with pytest.raises(ConfigError, match="of 512 bits overflows"):
+                        infer_tcam(m, row, plan)
+                else:
+                    energy = infer_tcam(m, row, plan)[2]["a"]
+                    assert energy == math.fsum([plan.block_tables[1][16]] * 8)
