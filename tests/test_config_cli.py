@@ -514,6 +514,31 @@ class TestCliHdc:
         written = (out / "hdc_infer.json").read_bytes()
         assert written == (GOLDEN / f"hdc_infer_b{block}.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "record, golden",
+        [
+            # the tcam search goldens' non-default row record, whose
+            # energies differ from the default's
+            (["i_rwl_exact_uA=3.0", "i_rwl_hd_uA=6", "r_low_state_ohm=2000",
+              "ht_r_off_kohm=40"], "hdc_infer_record_b100.json"),
+            # an exact current inside the 2 K window, (2.623, 4.117) uA,
+            # but outside the default 4 K one, (2.304, 4.037) uA: it runs
+            # only if the plan reads the config's own array, and its HD
+            # energies equal the default golden's
+            (["t_op_K=2", "i_rwl_exact_uA=4.08"], "hdc_infer_b100.json"),
+        ],
+    )
+    def test_record_infer_json_matches_golden_bytes(self, record, golden, tmp_path):
+        sets = [arg for item in record for arg in ("--set", item)]
+        code, out = run_cli(
+            [*sets, "--set", "hdc_block_size=100", "hdc", "infer",
+             "--model", str(GOLDEN / "hdc_model.json"),
+             "--text", str(GOLDEN / "hdc_query.txt")],
+            tmp_path,
+        )
+        assert code == 0
+        assert (out / "hdc_infer.json").read_bytes() == (GOLDEN / golden).read_bytes()
+
     def test_infer_exact_engine_matches_infer_exact(self, model_and_text, tmp_path):
         model, text = model_and_text
         code, out = run_cli(
