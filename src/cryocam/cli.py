@@ -303,7 +303,7 @@ def cmd_hdc_infer(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
         label, distances = infer_exact(model, query)
         energies = None
     else:
-        plan = BlockPlan(block_size=cfg["hdc_block_size"], bias=cfg.bias())
+        plan = BlockPlan(cfg["hdc_block_size"], cfg.make_array(1, 1))
         label, distances, energies = infer_tcam(model, query, plan)
     payload = {
         "label": label,

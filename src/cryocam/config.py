@@ -53,7 +53,9 @@ DEFAULTS = {
     "rcsj_n_steps": (1000, ">=", 1000, "integration steps per Josephson period"),
     "rcsj_settle_periods": (1, ">=", 1, "periods stepped before cycles are timed"),
     "rcsj_average_periods": (
-        200, ">=", 2, "a point steps at most 4.5x this many periods after settling"
+        200, ">=", 2,
+        "step budget, no output: a point steps at most 4.5x this many "
+        "periods after settling, and one that spends it fails the run (exit 4)",
     ),
     # HDC workload
     "hdc_d_bits": (10000, ">=", 8, "hypervector dimension"),

@@ -15,7 +15,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, UsageError
 from .tcam import (
     BiasConfig,
+    TcamArray,
     invert_ml_voltage_closed_form,
     ml_voltage_closed_form,
     overflow_problems,
@@ -415,18 +416,29 @@ def _split_limbs(values: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndar
     return bits.astype(np.float64), np.ldexp(1.0, e + width * np.arange(n_limbs))
 
 
+@cache
+def _default_array() -> TcamArray:
+    """The 1 x 1 default-built array, under the default row record, whose
+    blank copies plans given no array read; made on first use."""
+    return TcamArray(1, 1)
+
+
 @dataclass(frozen=True)
 class BlockPlan:
-    """How a long vector is cut into TCAM row segments, and the row record
-    each segment is searched with.
+    """How a long vector is cut into TCAM row segments, and the array
+    whose bound row record each segment is searched with.
 
+    The record is ``array.bias``, so it has passed every operating rule
+    of the array's state table when it reaches a plan.  A plan given no
+    array reads a blank copy of a default ``TcamArray(1, 1)`` made once
+    per module, so binding a record to one plan's array reaches no other.
     Vectors whose dimension is not a multiple of ``block_size`` are
     zero-padded on both sides of the comparison, so the padding always
     matches and never contributes Hamming distance.
     """
 
     block_size: int = 100
-    bias: BiasConfig = BiasConfig()
+    array: TcamArray = field(default_factory=lambda: _default_array().blank(1, 1))
     _sum_tables: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -440,19 +452,19 @@ class BlockPlan:
         """Per-count tables of an HD-mode row of ``block_size`` bits,
         indexed by matched-bit count 0..block_size: the Hamming distance
         decoded from the ML voltage (int64) and the search energy in J
-        (float64).  Read-only, and made on first use by one evaluation of
-        the closed form, its inverse and the search energy over all counts;
-        a voltage or energy past the float range raises ConfigError.
+        (float64).  Read-only, and made on first use from the HD row
+        table that ``array.blank(1, block_size)`` builds under the
+        array's record, so a voltage or energy past the float range
+        raises ConfigError there; a record bound to the array later does
+        not change them.
         """
-        block, bias, i_rwl = self.block_size, self.bias, self.bias.i_rwl_hd
-        with np.errstate(over="ignore"):
-            v_ml = ml_voltage_closed_form(block, np.arange(block + 1), i_rwl, bias)
-            energy = search_energy(v_ml, block, i_rwl, bias.t_search)
-        if problems := overflow_problems("HD", block, i_rwl, (v_ml, energy)):
-            raise ConfigError(problems)
-        distance = block - invert_ml_voltage_closed_form(v_ml, block, i_rwl, bias)
+        block, bias = self.block_size, self.array.bias
+        # the HD row table is indexed by mismatched count 0..block
+        v_ml, _, energy = self.array.blank(1, block)._tables[1][:, block::-1]
+        distance = block - invert_ml_voltage_closed_form(
+            v_ml, block, bias.i_rwl_hd, bias
+        )
         distance.flags.writeable = False
-        energy.flags.writeable = False
         return distance, energy
 
     def sum_table(self, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
@@ -469,7 +481,7 @@ class BlockPlan:
             distance, energy = self.block_tables
             # with no sum past the range, no limb term is past it either
             bound = n_blocks * float(energy.max())
-            n_bits, i_rwl = n_blocks * self.block_size, self.bias.i_rwl_hd
+            n_bits, i_rwl = n_blocks * self.block_size, self.array.bias.i_rwl_hd
             if problems := overflow_problems("HD", n_bits, i_rwl, bound):
                 raise ConfigError(problems)
             limbs, scales = _split_limbs(energy[::-1], n_blocks)
@@ -485,13 +497,15 @@ def infer_tcam(
 ) -> tuple[str, dict, dict]:
     """TCAM-backed inference.
 
-    Every block of every class row is evaluated through the HD-mode ML
-    voltage, the voltage is decoded back to a matched-bit count, and the
-    decoded counts add up to per-class Hamming distances.  Returns
-    (label, per-class HD, per-class energy in J).  ``query`` holds D
-    bits, each 0 or 1, in any bool, integer or float dtype; it is packed
-    as uint8, so any other value is outside the contract.  A plan whose
-    block is wider than D raises ``UsageError`` before any work.
+    Every block of every class row reads the HD row table of the plan's
+    bound array at the plan's width (``BlockPlan.block_tables``): the ML
+    voltage of its count, decoded back to a matched-bit count, and its
+    search energy.  The decoded counts add up to per-class Hamming
+    distances.  Returns (label, per-class HD, per-class energy in J).
+    ``query`` holds D bits, each 0 or 1, in any bool, integer or float
+    dtype; it is packed as uint8, so any other value is outside the
+    contract.  A plan whose block is wider than D raises ``UsageError``
+    before any work.
 
     The per-block mismatch counts of all classes come from
     ``_mismatches`` and read the plan's ``sum_table``: the decoded

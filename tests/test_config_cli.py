@@ -527,6 +527,7 @@ class TestCliHdc:
             # energies equal the default golden's
             (["t_op_K=2", "i_rwl_exact_uA=4.08"], "hdc_infer_b100.json"),
         ],
+        ids=["search-record", "2K-window"],
     )
     def test_record_infer_json_matches_golden_bytes(self, record, golden, tmp_path):
         sets = [arg for item in record for arg in ("--set", item)]

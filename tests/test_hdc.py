@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cryocam import cli, hdc
+from cryocam import cli, hdc, tcam
 
 from cryocam.config import build_config
 from cryocam.errors import ConfigError, DomainError, UsageError
@@ -261,7 +261,7 @@ class TestTcamEngine:
         m = HdcModel(
             labels=("row",), class_vectors={"row": stored}, d=block, n_gram=3, seed=0
         )
-        plan = BlockPlan(block_size=block, bias=cfg.bias())
+        plan = BlockPlan(block_size=block, array=array)
         _, distances, energies = infer_tcam(m, query, plan)
         assert distances["row"] == block // 2
         assert abs(energies["row"] - res.energy) / res.energy < 1e-12
@@ -445,7 +445,7 @@ def _infer_tcam_ref(model, query, plan):
     """Scalar reference: the closed form, its inverse and the energy once
     per (class, block), with each class's block energies summed by
     ``math.fsum``, correctly rounded."""
-    block, bias = plan.block_size, plan.bias
+    block, bias = plan.block_size, plan.array.bias
     pad = np.zeros(-model.d % block, dtype=np.uint8)
     q = np.concatenate([query, pad])
     distances = {}
@@ -516,14 +516,17 @@ class TestAgainstScalarReference:
             n_gram=3,
             seed=0,
         )
+        # the array is bound before the patch, so only the plan's width
+        # is counted
+        plan = BlockPlan(block_size=block, array=TcamArray(1, 1))
         evaluated = []  # every count, whether passed alone or in an array
 
         def counted(*args):
+            assert args[0] == block
             evaluated.extend(np.ravel(args[1]).tolist())
             return ml_voltage_closed_form(*args)
 
-        monkeypatch.setattr(hdc, "ml_voltage_closed_form", counted)
-        plan = BlockPlan(block_size=block)
+        monkeypatch.setattr(tcam, "ml_voltage_closed_form", counted)
         for _ in range(2):  # a second query on the plan evaluates nothing new
             q = rng.integers(0, 2, d, dtype=np.uint8)
             _, distances, _ = infer_tcam(m, q, plan)
@@ -813,14 +816,17 @@ class TestQueryState:
             n_gram=3,
             seed=0,
         )
+        # the array is bound before the patch, so only the plan's width
+        # is counted
+        plan = BlockPlan(block_size=block, array=TcamArray(1, 1))
         evaluated = []  # every count, whether passed alone or in an array
 
         def counted(*args):
+            assert args[0] == block
             evaluated.extend(np.ravel(args[1]).tolist())
             return ml_voltage_closed_form(*args)
 
-        monkeypatch.setattr(hdc, "ml_voltage_closed_form", counted)
-        plan = BlockPlan(block_size=block)
+        monkeypatch.setattr(tcam, "ml_voltage_closed_form", counted)
         for lo, hi in self.WINDOWS:
             q = _blocks_with_ones(rng, d, block, round(lo * block), round(hi * block))
             assert repr(infer_tcam(m, q, plan)) == repr(_infer_tcam_ref(m, q, plan))
@@ -1032,22 +1038,69 @@ def _block_tables_ref(block, bias):
     return distance, energy
 
 
+#: The largest critical current of a default array's states: a bindable
+#: record's HD current lies above it.
+_IC_MAX = float(TcamArray(1, 1)._i_c.max())
+
+
 class TestArrayRowRelation:
     """The closed form, its inverse and the search energy take count
-    arrays; a plan's tables are one evaluation of each over 0..block."""
+    arrays; a plan's tables read the bound array's HD row table, one
+    evaluation of each over 0..block."""
+
+    @example(block=10000, r_match=1800.0, r_mismatch=900.0, r_gate=5e4,
+             i_rwl=5e-6, t_search=3e-10)
+    @example(block=4096, r_match=2400.0, r_mismatch=1100.0, r_gate=5e4,
+             i_rwl=6.1e-6, t_search=3e-10)
+    @given(
+        block=st.integers(1, 1024),
+        r_match=st.floats(100.0, 1e5),
+        r_mismatch=st.floats(100.0, 1e5),
+        r_gate=st.floats(1e3, 1e6),
+        i_rwl=st.floats(_IC_MAX, 1e-4, exclude_min=True),
+        t_search=st.floats(1e-12, 1e-8),
+    )
+    def test_tables_equal_scalar_loop_bytes(
+        self, block, r_match, r_mismatch, r_gate, i_rwl, t_search
+    ):
+        # every record that binds: HD order, HD current above every I_C,
+        # and the defaults' exact current inside the exact window
+        assume(r_match > r_mismatch)
+        bias = BiasConfig(
+            r_match=r_match, r_mismatch=r_mismatch, r_gate=r_gate,
+            i_rwl_hd=i_rwl, t_search=t_search,
+        )
+        got = BlockPlan(block, TcamArray(1, 1, bias=bias)).block_tables
+        for table, want in zip(got, _block_tables_ref(block, bias)):
+            assert table.dtype == want.dtype
+            assert table.tobytes() == want.tobytes()
+            assert not table.flags.writeable
 
     @pytest.mark.parametrize(
-        "bias",
-        [BiasConfig(), BiasConfig(r_match=2400.0, r_mismatch=1100.0, i_rwl_hd=6.1e-6)],
-        ids=["default", "second-record"],
+        "record, message",
+        [
+            # the best class once read the lowest energy
+            (BiasConfig(r_match=800.0), "HD mode requires r_match > r_mismatch"),
+            # rows with no voltage once read 9.9e-17 J
+            (BiasConfig(i_rwl_hd=1e-6), "HD mode requires I_RWL > I_C,high"),
+        ],
     )
-    def test_tables_equal_scalar_loop_bytes(self, bias):
-        for block in [*range(1, 301), 500, 1000, 1024, 4096, 10000]:
-            got = BlockPlan(block_size=block, bias=bias).block_tables
-            for table, want in zip(got, _block_tables_ref(block, bias)):
-                assert table.dtype == want.dtype
-                assert table.tobytes() == want.tobytes(), block
-                assert not table.flags.writeable
+    def test_rule_breaking_record_never_reaches_a_plan(self, record, message):
+        with pytest.raises(TypeError):
+            BlockPlan(block_size=10, bias=record)
+        plan = BlockPlan(block_size=10, array=TcamArray(1, 1))
+        with pytest.raises(ConfigError, match=message):
+            plan.array.bias = record
+        assert plan.array.bias == BiasConfig()
+        with pytest.raises(ConfigError, match=message):
+            TcamArray(1, 1, bias=record)
+
+    def test_plans_given_no_array_hold_their_own(self):
+        first, second = BlockPlan(10), BlockPlan(10)
+        first.array.bias = BiasConfig(i_rwl_hd=6e-6)
+        assert second.array.bias == BiasConfig()
+        assert BlockPlan(10).array.bias == BiasConfig()
+        assert first.block_tables[1][0] > second.block_tables[1][0]
 
     @given(
         block=st.integers(1, 1024),
@@ -1079,7 +1132,7 @@ class TestArrayRowRelation:
     def test_overflowing_tables_rejected(self, model):
         # the plan's energy table once held inf, and infer_tcam's per-class
         # energies with it
-        plan = BlockPlan(block_size=100, bias=BiasConfig(i_rwl_hd=3.2e152))
+        plan = BlockPlan(100, TcamArray(1, 1, bias=BiasConfig(i_rwl_hd=3.2e152)))
         q = model.class_vectors[model.labels[0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1212,7 +1265,8 @@ class TestCorrectlyRoundedEnergies:
 
     def test_sum_past_the_float_range_rejected(self):
         # each block's energy is finite, but 32 of them once summed to inf
-        plan = BlockPlan(block_size=16, bias=BiasConfig(i_rwl_hd=5e151, t_search=0.3))
+        record = BiasConfig(i_rwl_hd=5e151, t_search=0.3)
+        plan = BlockPlan(block_size=16, array=TcamArray(1, 1, bias=record))
         assert np.isfinite(plan.block_tables[1]).all()
         rng = np.random.default_rng(18)
         for d, refused in ((128, False), (512, True)):
