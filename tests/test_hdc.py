@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cryocam import cli, hdc, tcam
@@ -1048,10 +1048,19 @@ class TestArrayRowRelation:
     arrays; a plan's tables read the bound array's HD row table, one
     evaluation of each over 0..block."""
 
-    @example(block=10000, r_match=1800.0, r_mismatch=900.0, r_gate=5e4,
-             i_rwl=5e-6, t_search=3e-10)
-    @example(block=4096, r_match=2400.0, r_mismatch=1100.0, r_gate=5e4,
-             i_rwl=6.1e-6, t_search=3e-10)
+    @pytest.mark.parametrize(
+        "bias",
+        [BiasConfig(), BiasConfig(r_match=2400.0, r_mismatch=1100.0, i_rwl_hd=6.1e-6)],
+        ids=["default", "second-record"],
+    )
+    def test_tables_equal_scalar_loop_bytes(self, bias):
+        for block in [*range(1, 301), 500, 1000, 1024, 4096, 10000]:
+            got = BlockPlan(block, TcamArray(1, 1, bias=bias)).block_tables
+            for table, want in zip(got, _block_tables_ref(block, bias)):
+                assert table.dtype == want.dtype
+                assert table.tobytes() == want.tobytes(), block
+                assert not table.flags.writeable
+
     @given(
         block=st.integers(1, 1024),
         r_match=st.floats(100.0, 1e5),
@@ -1060,7 +1069,7 @@ class TestArrayRowRelation:
         i_rwl=st.floats(_IC_MAX, 1e-4, exclude_min=True),
         t_search=st.floats(1e-12, 1e-8),
     )
-    def test_tables_equal_scalar_loop_bytes(
+    def test_bindable_records_tables_equal_scalar_loop_bytes(
         self, block, r_match, r_mismatch, r_gate, i_rwl, t_search
     ):
         # every record that binds: HD order, HD current above every I_C,
